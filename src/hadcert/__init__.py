@@ -5,7 +5,6 @@ witnesses that break it, generate the corresponding one-parameter families,
 and search numerically for new family seeds.
 """
 
-from ._backend import backend_name
 from .cmatrix import (
     DEFAULT_POLICY,
     NumericPolicy,

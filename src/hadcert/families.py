@@ -21,13 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _backend
 from .cmatrix import (
     DEFAULT_POLICY,
     as_matrix,
-    commutator,
     expi_hermitian,
     frobenius_norm,
+    mask_from_indices,
     mask_indices,
     projection_matrix,
 )
@@ -53,11 +52,6 @@ __all__ = [
 
 COMMUTING_CAP = 14
 BLOCK_CAP = 10
-
-# Absolute slack added to the quadruple-scan threshold: the fallback expands
-# |Q1 + Q2|^2 through a cross term whose cancellation noise is ~E*eps even at
-# an exact solution. Candidates only; the exact commutator norm decides.
-SCAN_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -147,34 +141,144 @@ def block_pair_spec(u, p1_mask, p2_mask, d1_mask, d2_mask):
 
 
 # --- exhaustive finders -------------------------------------------------------
+#
+# Both finders scan with subset tests on per-mask edge bitsets. [P, Q] is +-Q
+# on the edges (i, j), i < j, that cross the mask of P and 0 on the others,
+# and Q[m] = U diag(m) U* is linear in m, so Q[d1] + Q[d2] = Q[d1 | d2] for
+# disjoint masks: every zero test is "these edges vanish in Q[m]".
 
-def _edge_tables(u):
+def _bitsets(flags):
+    """Rows of per-edge flags packed into rows of uint64 words."""
+    rows, n_edges = flags.shape
+    padded = np.zeros((rows, -(-n_edges // 64) * 64), dtype=bool)
+    padded[:, :n_edges] = flags
+    return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
+
+
+def _edge_tables(u, tol):
     """Per-mask tables over the edges (i, j), i < j:
 
-    qe[m, e]  = (U diag(m) U*)_{ij}
-    psum[m,e] = |qe[m, e]|^2
-    cut[m, e] = 1 iff the edge crosses mask m
+    bits[m]  = the 0/1 vector of mask m
+    zero[m]  = bitset of the edges e with |Q[m]_e|^2 <= 2 tol^2
+    cross[m] = bitset of the edges that cross mask m
+
+    A bitset is a row of uint64 words; n = 14 has 91 edges.
     """
     n = u.shape[0]
-    N = 1 << n
     ei, ej = np.triu_indices(n, k=1)
-    M = u[ei, :] * np.conj(u[ej, :])                     # (E, n)
-    bits = ((np.arange(N)[:, None] >> np.arange(n)[None, :]) & 1).astype(np.int8)
-    qe = bits.astype(np.float64) @ M.T                   # (N, E)
-    psum = np.ascontiguousarray(np.abs(qe) ** 2)
-    cut = np.ascontiguousarray(bits[:, ei] ^ bits[:, ej]).astype(np.uint8)
-    return bits, qe, psum, cut
+    n_edges = len(ei)
+    bits = ((np.arange(1 << n)[:, None] >> np.arange(n)[None, :]) & 1).astype(np.int8)
+    rows = bits.astype(np.float64)
+    # Q[m] on edge e is the sum of u_ik conj(u_jk) over k in m: rows[m] @ terms
+    # gives its real parts, then its imaginary parts
+    terms = u[ei, :] * np.conj(u[ej, :])
+    terms = np.concatenate([terms.real, terms.imag]).T
+    # The gate is per edge and needs no slack. The squared residual of a pair
+    # or quadruple is twice a sum of |Q_e|^2 over edges (for a quadruple Q is
+    # Q[d1], Q[d2] or Q[d1 | d2] by zone), so a combination the exact residual
+    # accepts has every term <= tol^2 / 2. This Q differs from the dense Q of
+    # the residual only by rounding (~1e-16), so the scans keep every such
+    # combination and the finders return exactly what the exact filter accepts.
+    flags = np.empty((len(rows), n_edges), dtype=bool)
+    for lo in range(0, len(rows), 2048):
+        q = rows[lo:lo + 2048] @ terms
+        q *= q
+        np.less_equal(q[:, :n_edges] + q[:, n_edges:], 2.0 * tol * tol,
+                      out=flags[lo:lo + 2048])
+    zero = _bitsets(flags)
+    cross = _bitsets(bits[:, ei] != bits[:, ej])
+    return bits, zero, cross
 
 
-def _mask_bits(bitmask, n):
-    return np.array([(bitmask >> k) & 1 for k in range(n)], dtype=np.int8)
+def _covering(sets, rows):
+    """Index pairs (i, r) with bitset sets[i] a subset of bitset rows[r].
+
+    The subset test runs once per distinct row, over chunks of sets.
+    """
+    if not len(sets) or not len(rows):
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    order = np.lexsort(rows.T)
+    rows = rows[order]
+    first = np.flatnonzero(np.append(True, np.any(rows[1:] != rows[:-1], axis=1)))
+    holes = ~rows[first]
+    step = max(1, (1 << 20) // holes.size)
+    found_i, found_k = [], []
+    for lo in range(0, len(sets), step):
+        chunk = sets[lo:lo + step]
+        missed = chunk[:, None, 0] & holes[None, :, 0]
+        for w in range(1, holes.shape[1]):
+            missed |= chunk[:, None, w] & holes[None, :, w]
+        i, k = np.nonzero(missed == 0)
+        found_i.append(i + lo)
+        found_k.append(k)
+    i, k = np.concatenate(found_i), np.concatenate(found_k)
+    # expand each hit on a distinct row to every row equal to it
+    size = np.diff(np.append(first, len(rows)))[k]
+    start = first[k] - (np.cumsum(size) - size)
+    return np.repeat(i, size), order[np.repeat(start, size) + np.arange(size.sum())]
 
 
-def _mask_sort_key(*bitmasks):
-    n_needed = max(bitmasks).bit_length()
-    return tuple(
-        tuple(k for k in range(n_needed + 1) if (m >> k) & 1) for m in bitmasks
-    )
+def _disjoint_pairs(n):
+    """Every ordered pair (a, b) of disjoint n-bit masks, as two int64 arrays."""
+    a = b = np.zeros(1, dtype=np.int64)
+    for k in range(n):
+        a, b = np.concatenate([a, a | (1 << k), a]), np.concatenate([b, b, b | (1 << k)])
+    return a, b
+
+
+def _scan_commuting_pairs(zero, cross, n):
+    """Candidate pairs (p, d) of canonical bitmasks (bit 0 clear, not 0) as a
+    (K, 2) array: [diag(p), Q[d]] = 0 iff Q[d] vanishes on every edge
+    crossing p."""
+    canon = np.arange(2, (1 << n) - 1, 2)
+    ds = canon[zero[canon].any(axis=1)]
+    i, k = _covering(cross[canon], zero[ds])
+    return np.stack([canon[i], ds[k]], axis=1)
+
+
+def _scan_block_pairs(zero, cross, n):
+    """Candidate quadruples (p1, p2, d1, d2) of bitmasks as a (K, 4) array:
+    p1 < p2, all four masks proper, each side disjoint, (p2, d2) never
+    (~p1, ~d1), and [P1, Q[d1]] - [P2, Q[d2]] zero on every edge by the gate.
+
+    With r = ~(p1 | p2), that difference is Q[d1] on the edges between p1
+    and r, Q[d2] on those between p2 and r, and Q[d1 | d2] on those between
+    p1 and p2.
+    """
+    full = (1 << n) - 1
+    a, b = _disjoint_pairs(n)
+    ps = (a > 0) & (a < b)
+    ds = (a > 0) & (b > 0)
+    d1, d2 = a[ds], b[ds]
+    d12 = d1 | d2
+    # r empty (p2 = ~p1): only the edges crossing p1 are left, and every split
+    # of a d1 | d2 other than full is a candidate; the splits of full are the
+    # degenerate complement pattern
+    p1 = a[ps & ((a | b) == full)]
+    keep = (d12 != full) & zero[d12].any(axis=1)
+    i, k = _covering(cross[p1], zero[d12[keep]])
+    whole = np.stack([p1[i], full ^ p1[i], d1[keep][k], d2[keep][k]], axis=1)
+    # r non-empty: every zone is non-empty, so d1, d2 and d1 | d2 each need a
+    # vanishing edge
+    pairs = ps & ((a | b) != full)
+    p1, p2 = a[pairs], b[pairs]
+    c1, c2 = cross[p1], cross[p2]
+    sets = np.concatenate([c1 & ~c2, c2 & ~c1, c1 & c2], axis=1)
+    z1, z2, z12 = zero[d1], zero[d2], zero[d12]
+    keep = z1.any(axis=1) & z2.any(axis=1) & z12.any(axis=1)
+    i, k = _covering(sets, np.concatenate([z1, z2, z12], axis=1)[keep])
+    split = np.stack([p1[i], p2[i], d1[keep][k], d2[keep][k]], axis=1)
+    return np.concatenate([whole, split])
+
+
+def _in_index_order(found, n):
+    """Rows of a (K, c) array of bitmasks sorted by the index lists of their
+    masks, column by column: the order the finders return."""
+    values, inv = np.unique(found, return_inverse=True)
+    indices = [[k for k in range(n) if (m >> k) & 1] for m in values.tolist()]
+    rank = np.empty(len(values), dtype=np.intp)
+    rank[sorted(range(len(values)), key=indices.__getitem__)] = np.arange(len(values))
+    return found[np.lexsort(rank[inv.reshape(found.shape)].T[::-1])]
 
 
 def find_commuting_pairs(u, policy=DEFAULT_POLICY):
@@ -195,32 +299,14 @@ def find_commuting_pairs(u, policy=DEFAULT_POLICY):
     if not verd.is_biunitary:
         raise ValueError("find_commuting_pairs requires a biunitary matrix")
     tol = policy.tol_unitary
-    _, _, psum, cut = _edge_tables(u)
-    N = 1 << n
-    full = N - 1
-    # canonical masks: bit 0 clear, not trivial
-    cand = np.arange(2, full, 2, dtype=np.int64)
-    if cand.size == 0:
-        return []
-    # ||[p, Q[d]]||^2 = 2 * sum_{cut edges of p} |Q[d]_e|^2
-    thr = 2.0 * tol * tol        # loose scan gate; exact residual decides below
-    p2d = psum[cand]             # (Nd, E)
-    hits = []
-    chunk = max(1, (1 << 24) // max(1, p2d.shape[0] * 8))
-    for lo in range(0, cand.size, chunk):
-        block = cand[lo : lo + chunk]
-        r = p2d @ cut[block].T.astype(np.float64)      # (Nd, chunk)
-        for di, pi in zip(*np.nonzero(r <= thr)):
-            hits.append((int(block[pi]), int(cand[di])))
+    bits, zero, cross = _edge_tables(u, tol)
     out = []
-    for pbits, dbits in hits:
-        p = _mask_bits(pbits, n)
-        d = _mask_bits(dbits, n)
+    for key in _in_index_order(_scan_commuting_pairs(zero, cross, n), n).tolist():
+        p, d = bits[key]
         res = commuting_residual(u, p, d)
         if res <= tol:
-            out.append((pbits, dbits, CommutingPairSpec(u, p, d, res)))
-    out.sort(key=lambda t: _mask_sort_key(t[0], t[1]))
-    return [spec for _, _, spec in out]
+            out.append(CommutingPairSpec(u, p, d, res))
+    return out
 
 
 def find_block_pairs(u, policy=DEFAULT_POLICY):
@@ -228,8 +314,7 @@ def find_block_pairs(u, policy=DEFAULT_POLICY):
     (1 <-> 2) swap and excluding the degenerate complement pattern
     (p2, d2) = (~p1, ~d1).
 
-    Exhaustive over disjoint 0/1 mask pairs; only n <= 10 is accepted. The
-    scan runs on the compiled kernel when available (see hadcert.backend_name).
+    Exhaustive over disjoint 0/1 mask pairs; only n <= 10 is accepted.
     """
     u = as_matrix(u)
     n = u.shape[0]
@@ -241,21 +326,14 @@ def find_block_pairs(u, policy=DEFAULT_POLICY):
     if not verd.is_biunitary:
         raise ValueError("find_block_pairs requires a biunitary matrix")
     tol = policy.tol_unitary
-    _, qe, psum, cut = _edge_tables(u)
-    qre = np.ascontiguousarray(qe.real)
-    qim = np.ascontiguousarray(qe.imag)
-    # residual^2 = 2 * (sa + sb + sc); scan with slack, the exact commutator
-    # norm decides membership
-    thr = 2.0 * tol * tol + SCAN_SLACK
-    raw = _backend.scan_block_pairs(qre, qim, psum, cut, n, thr)
+    bits, zero, cross = _edge_tables(u, tol)
     out = []
-    for p1b, p2b, d1b, d2b in raw:
-        masks = [_mask_bits(b, n) for b in (p1b, p2b, d1b, d2b)]
+    for key in _in_index_order(_scan_block_pairs(zero, cross, n), n).tolist():
+        masks = bits[key]
         res = block_residual(u, *masks)
         if res <= tol:
-            out.append(((p1b, p2b, d1b, d2b), BlockPairSpec(u, *masks, res)))
-    out.sort(key=lambda t: _mask_sort_key(*t[0]))
-    return [spec for _, spec in out]
+            out.append(BlockPairSpec(u, *masks, res))
+    return out
 
 
 # --- family constructors ------------------------------------------------------
@@ -360,14 +438,10 @@ def spec_from_json_dict(doc, base):
     n = base.shape[0]
     tag = doc.get("theorem")
     if tag == "constr1":
-        from .cmatrix import mask_from_indices
-
         return commuting_pair_spec(
             base, mask_from_indices(doc["p"], n), mask_from_indices(doc["d"], n)
         )
     if tag == "constr2":
-        from .cmatrix import mask_from_indices
-
         return block_pair_spec(
             base,
             mask_from_indices(doc["p1"], n),

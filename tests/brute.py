@@ -38,10 +38,26 @@ def brute_commuting_pairs(u, tol=1e-9):
     return sorted(out)
 
 
+def support_graph_commuting_count(u, zero=1e-6):
+    """Number of canonical (p, d) pairs with [diag(p), U diag(d) U*] = 0,
+    without enumerating p: the commutator vanishes iff p is a union of
+    connected components of the graph joining i and j when |q_ij| > zero.
+    With c components there are 2^(c-1) - 1 such p with bit 0 clear."""
+    n = u.shape[0]
+    total = 0
+    for d in range(2, (1 << n) - 1, 2):
+        reach = (np.abs(conjugated(u, bits(d, n))) > zero) | np.eye(n, dtype=bool)
+        for _ in range(n.bit_length()):
+            reach = (reach.astype(int) @ reach.astype(int)) > 0
+        components = len({tuple(row) for row in reach})
+        total += 2 ** (components - 1) - 1
+    return total
+
+
 def brute_block_pairs(u, tol=1e-9):
     """All quadruple bitmasks (p1, p2, d1, d2), p1 < p2, sides disjoint and
     non-trivial, excluding (p2, d2) == (~p1, ~d1), with
-    [P1, Q1] - [P2, Q2] = 0. Full scan; practical for n <= 5."""
+    [P1, Q1] - [P2, Q2] = 0. Full scan; practical for n <= 6."""
     n = u.shape[0]
     N = 1 << n
     full = N - 1

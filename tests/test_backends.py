@@ -1,61 +1,21 @@
-"""The compiled scan kernel and the numpy fallback must agree exactly."""
+"""The bitset block scan, on its own, must match a brute-force search.
 
-import numpy as np
-import pytest
+There is a single scan implementation; this checks its raw candidates,
+before the exact residual filter, on orders small enough to brute-force.
+"""
+
+from hadcert import fourier
+from hadcert.families import _edge_tables, _scan_block_pairs
 
 import brute
-from hadcert import _scan_py, fourier, petrescu
-from hadcert.families import SCAN_SLACK, _edge_tables
-
-try:
-    from hadcert import _scan_cy
-except ImportError:
-    _scan_cy = None
-
-needs_kernel = pytest.mark.skipif(_scan_cy is None, reason="compiled kernel not built")
 
 
-def run_scan(impl, u, tol=1e-9):
-    _, qe, psum, cut = _edge_tables(u)
-    qre = np.ascontiguousarray(qe.real)
-    qim = np.ascontiguousarray(qe.imag)
-    thr = 2.0 * tol * tol + SCAN_SLACK
-    return sorted(impl.scan_block_pairs(qre, qim, psum, cut, u.shape[0], thr))
-
-
-@needs_kernel
-@pytest.mark.parametrize("maker", [
-    lambda: petrescu(1.0),
-    lambda: fourier(4),
-    lambda: fourier(6),
-    lambda: fourier(7),
-])
-def test_backends_agree(maker):
-    u = maker()
-    assert run_scan(_scan_cy, u) == run_scan(_scan_py, u)
-
-
-@needs_kernel
-def test_backends_agree_random(rng):
-    for n in (4, 5, 6):
-        u = brute.random_biunitary(n, rng)
-        assert run_scan(_scan_cy, u) == run_scan(_scan_py, u)
+def run_scan(u, tol=1e-9):
+    _, zero, cross = _edge_tables(u, tol)
+    return sorted(map(tuple, _scan_block_pairs(zero, cross, u.shape[0]).tolist()))
 
 
 def test_python_scan_matches_brute(rng):
     for u in (fourier(4), brute.random_biunitary(5, rng)):
-        got = run_scan(_scan_py, u)
+        got = run_scan(u)
         assert got == brute.brute_block_pairs(u)
-
-
-def test_env_override(monkeypatch):
-    import importlib
-
-    import hadcert._backend as backend
-
-    monkeypatch.setenv("HADCERT_PURE", "1")
-    importlib.reload(backend)
-    assert backend.backend_name() == "python"
-    monkeypatch.delenv("HADCERT_PURE")
-    importlib.reload(backend)
-    assert backend.backend_name() in ("python", "compiled")

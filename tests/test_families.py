@@ -19,7 +19,12 @@ from hadcert import (
     verify_biunitary,
     verify_unitarity_identity,
 )
-from hadcert.families import spec_from_json_dict, spec_to_json_dict
+from hadcert.families import (
+    _edge_tables,
+    _scan_commuting_pairs,
+    spec_from_json_dict,
+    spec_to_json_dict,
+)
 from hadcert.spancert import ISOLATED
 
 
@@ -56,6 +61,16 @@ class TestFindCommutingPairs:
         for u in (fourier(4), fourier(5), fourier(6), brute.random_biunitary(5, rng)):
             got = [(bitmask(s.p_mask), bitmask(s.d_mask)) for s in find_commuting_pairs(u)]
             assert sorted(got) == brute.brute_commuting_pairs(u)
+
+    @pytest.mark.parametrize("n, count", [(12, 97), (14, 126)])
+    def test_counts_past_64_edges(self, n, count):
+        # 66 and 91 edges take two words per bitset. On a Fourier matrix the
+        # scan alone is exact, so a lost edge shows as an extra candidate.
+        u = fourier(n)
+        _, zero, cross = _edge_tables(u, 1e-9)
+        assert len(_scan_commuting_pairs(zero, cross, n)) == count
+        assert len(find_commuting_pairs(u)) == count
+        assert brute.support_graph_commuting_count(u) == count
 
     def test_nonempty_iff_composite(self):
         for n in range(2, 13):
@@ -131,12 +146,24 @@ class TestFindBlockPairs:
         assert find_block_pairs(fourier(7)) == []
 
     def test_matches_brute_small_orders(self, rng):
-        for u in (fourier(4), fourier(5), brute.random_biunitary(4, rng)):
+        for u in (fourier(4), fourier(5), brute.random_biunitary(4, rng),
+                  brute.random_biunitary(5, rng), fourier(6)):
             got = [
                 (bitmask(s.p1_mask), bitmask(s.p2_mask), bitmask(s.d1_mask), bitmask(s.d2_mask))
                 for s in find_block_pairs(u)
             ]
             assert sorted(got) == brute.brute_block_pairs(u)
+
+    @pytest.mark.parametrize("make, count", [
+        (lambda: fourier(8), 1040),
+        (lambda: fourier(9), 1242),
+        (lambda: np.kron(fourier(2), fourier(4)), 3056),
+        (lambda: np.kron(fourier(3), fourier(3)), 4968),
+        (lambda: petrescu(1.0), 9),
+        (lambda: fourier(10), 5880),
+    ], ids=["F8", "F9", "F2xF4", "F3xF3", "petrescu1", "F10"])
+    def test_counts(self, make, count):
+        assert len(find_block_pairs(make())) == count
 
     def test_disjointness_and_nontriviality(self, petrescu_specs):
         for s in petrescu_specs:
