@@ -19,6 +19,7 @@ Matrix files:
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -39,6 +40,14 @@ class CliError(Exception):
 
 def _fmt(x):
     return DET_FMT % x
+
+
+def finite(tok):
+    """float(tok), with ValueError for nan and inf as for any bad token."""
+    x = float(tok)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite value {tok!r}")
+    return x
 
 
 def format_matrix(u, fmt="cart", policy=DEFAULT_POLICY):
@@ -90,9 +99,9 @@ def parse_matrix(text):
             try:
                 if head[0] == "CART":
                     re_s, im_s = tok.split(",")
-                    out[i, j] = complex(float(re_s), float(im_s))
+                    out[i, j] = complex(finite(re_s), finite(im_s))
                 else:
-                    out[i, j] = np.exp(1j * float(tok)) / np.sqrt(n)
+                    out[i, j] = np.exp(1j * finite(tok)) / np.sqrt(n)
             except ValueError:
                 raise CliError(f"row {i}, column {j}: bad token {tok!r}") from None
     return out
@@ -144,7 +153,7 @@ def _emit(obj):
 def _parse_complex_token(tok):
     try:
         re_s, im_s = tok.split(",")
-        return complex(float(re_s), float(im_s))
+        return complex(finite(re_s), finite(im_s))
     except ValueError:
         raise CliError(f"bad complex token {tok!r}; expected 're,im'") from None
 
@@ -251,6 +260,8 @@ def cmd_family(args):
     if isinstance(doc, list):
         if not doc:
             raise CliError("spec file holds an empty list")
+        if not 0 <= args.index < len(doc):
+            raise CliError(f"--index {args.index} is out of range for {len(doc)} specs")
         doc = doc[args.index]
     try:
         spec = families.spec_from_json_dict(doc, u)
@@ -354,7 +365,7 @@ def build_parser():
     p = sub.add_parser("gen", help="generate a built-in matrix")
     p.add_argument("kind", choices=["fourier", "petrescu", "bjorck7", "qr-circulant", "circulant"])
     p.add_argument("--n", type=int, default=None, help="order")
-    p.add_argument("--lambda-angle", type=float, default=0.0,
+    p.add_argument("--lambda-angle", type=finite, default=0.0,
                    help="family parameter as an angle in radians (petrescu)")
     p.add_argument("--a", type=str, default="solve",
                    help="'re,im' value or 'solve' (qr-circulant)")
@@ -383,7 +394,7 @@ def build_parser():
     p = sub.add_parser("family", help="emit one family member from a spec file")
     p.add_argument("file", help="base matrix file")
     p.add_argument("--spec", required=True, help="JSON spec (as emitted by pairs)")
-    p.add_argument("--param", type=float, required=True,
+    p.add_argument("--param", type=finite, required=True,
                    help="t (commuting pair) or angle of lambda (block quadruple)")
     p.add_argument("--index", type=int, default=0,
                    help="which spec when the file holds a list")

@@ -369,7 +369,7 @@ def constr2_family(spec, lam, policy=DEFAULT_POLICY):
     (p2 x d2) block by conj(lam), leaving all moduli unchanged.
     """
     lam = complex(lam)
-    if abs(abs(lam) - 1.0) > policy.tol_entry:
+    if not abs(abs(lam) - 1.0) <= policy.tol_entry:
         raise ValueError(f"|lambda| = {abs(lam)} is not 1 within tolerance")
     u = spec.base
     res = block_residual(u, spec.p1_mask, spec.p2_mask, spec.d1_mask, spec.d2_mask)

@@ -10,7 +10,6 @@ one-parameter family.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .cmatrix import DEFAULT_POLICY, as_matrix, frobenius_norm
 
@@ -108,10 +107,13 @@ def qr_circulant(n, a="solve", policy=DEFAULT_POLICY):
     """Circulant with 1/sqrt(n) on the quadratic residues mod n and a/sqrt(n)
     on the rest.
 
-    With a="solve" the unimodular value a is found numerically by locating the
-    zeros of the unitarity defect over the phase of a. Raises if n is not
-    prime, or if no unimodular solution exists (the final residual is
-    reported); the returned matrix always passes verify_biunitary.
+    With a="solve" the unimodular value a is a zero of the unitarity defect,
+    taken from the unimodular roots of one quartic (see _solve_qr_phase);
+    between the conjugate pair of zeros the one with Im a > 0 is returned.
+    Zeros exist for the primes n = 3 (mod 4), where a = (1 - n + 2i sqrt(n))
+    / (n + 1), and for no other prime below 200. Raises if n is not prime, or
+    if no unimodular solution exists (the smallest residual is reported); the
+    returned matrix always passes verify_biunitary.
     """
     if not is_prime(n):
         raise ValueError(f"n={n} is not prime")
@@ -130,13 +132,17 @@ def qr_circulant(n, a="solve", policy=DEFAULT_POLICY):
     return u
 
 
-def _solve_qr_phase(n, grid=4096):
-    """Zeros of f(phi) = ||S(e^{i phi}) S* - I||_F^2 over the phase of a.
+def _solve_qr_phase(n):
+    """Unimodular a minimising f(z) = ||S(z) S(z)* - I||_F^2, z = a on |z| = 1.
 
-    f is a trigonometric polynomial; its zeros are located by bracketing the
-    sign change of the analytic derivative around grid minima of f, which
-    pins them to machine precision (direct minimization of the flat quadratic
-    touchdown stalls near sqrt(eps)).
+    With S(z) = B + z C, the defect matrix is base + z CB + conj(z) BC, so f
+    is a degree-2 trigonometric polynomial a0 + 2 Re(a1 z + a2 z^2). Its
+    critical points on the circle (z = e^{i phi}) are the unimodular roots of
+    the quartic z^2 (df/dphi) / i = 2 a2 z^4 + a1 z^3 - conj(a1) z - 2 conj(a2),
+    found with np.roots. The defect is evaluated at each; roots with defect
+    <= 1e-18 are zeros, and raising otherwise reports the smallest defect
+    found. B and C are real, so zeros come in conjugate pairs with equal
+    defect; the one with Im a > 0 is returned, as in bjorck7.
     """
     ones = np.zeros(n)
     ones[quadratic_residues(n)] = 1.0
@@ -146,33 +152,23 @@ def _solve_qr_phase(n, grid=4096):
     CB = C @ B.T
     BC = B @ C.T
 
-    def defect(phi):
-        r = base + np.exp(1j * phi) * CB + np.exp(-1j * phi) * BC
+    def defect(z):
+        r = base + z * CB + np.conj(z) * BC
         return float(np.real(np.sum(r * np.conj(r))))
 
-    def ddefect(phi):
-        r = base + np.exp(1j * phi) * CB + np.exp(-1j * phi) * BC
-        dr = 1j * np.exp(1j * phi) * CB - 1j * np.exp(-1j * phi) * BC
-        return float(2.0 * np.real(np.sum(np.conj(r) * dr)))
-
-    phis = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-    fv = np.array([defect(p) for p in phis])
-    best_phi, best_val = None, np.inf
-    h = 2.0 * np.pi / grid
-    for k in range(grid):
-        if fv[k] <= fv[k - 1] and fv[k] <= fv[(k + 1) % grid]:
-            lo, hi = phis[k] - h, phis[k] + h
-            if ddefect(lo) < 0.0 < ddefect(hi):
-                root = brentq(ddefect, lo, hi, xtol=1e-15)
-                val = defect(root)
-                if val < best_val:
-                    best_phi, best_val = root, val
-    if best_phi is None or best_val > 1e-18:
+    a1 = np.sum(CB * np.conj(base) + base * np.conj(BC))
+    a2 = np.sum(CB * np.conj(BC))
+    roots = np.roots([2.0 * a2, a1, 0.0, -np.conj(a1), -2.0 * np.conj(a2)])
+    on_circle = [z / abs(z) for z in roots if abs(abs(z) - 1.0) <= 1e-6]
+    scored = [(defect(z), z) for z in on_circle]
+    zeros = [(val, z) for val, z in scored if val <= 1e-18]
+    if not zeros:
+        best_val = min((val for val, _ in scored), default=np.inf)
         raise ValueError(
             f"no unimodular circulant value found for n={n} "
             f"(best squared residual {best_val:.3e})"
         )
-    return np.exp(1j * best_phi)
+    return min(zeros, key=lambda vz: (vz[1].imag <= 0.0, vz[0]))[1]
 
 
 _PETRESCU_POWERS = np.array(
@@ -196,7 +192,7 @@ def petrescu(lam, policy=DEFAULT_POLICY):
     conj(lambda), the last row and column of the power table are w^0.
     """
     lam = complex(lam)
-    if abs(abs(lam) - 1.0) > policy.tol_entry:
+    if not abs(abs(lam) - 1.0) <= policy.tol_entry:
         raise ValueError(f"|lambda| = {abs(lam)} is not 1 within tolerance")
     w = np.exp(2j * np.pi / 6)
     u = w ** _PETRESCU_POWERS.astype(np.complex128)

@@ -29,7 +29,8 @@ class SearchConfig:
 
     seed_phases: starting phase matrix; drawn uniformly from [0, 2*pi) with
     rng_seed when omitted. p1/p2 and p3/p4 must be exactly disjoint (they may
-    be empty, which reduces the objective to the unitarity term).
+    be empty, which reduces the objective to the unitarity term). max_iters
+    must be at least 1.
     """
 
     n: int
@@ -56,6 +57,8 @@ class SearchConfig:
             if s.shape != (self.n, self.n):
                 raise ValueError(f"seed_phases must be {self.n}x{self.n}")
             object.__setattr__(self, "seed_phases", s)
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,9 @@ class TestMatrixFormat:
         "CART 1\n1,0 2,0\n",            # extra column
         "PHASE 2\n0 zz\n0 0\n",
         "NOPE 2\n1 2\n3 4\n",
+        "CART 2\n1,0 nan,0\n1,0 1,0\n",
+        "CART 1\n1,inf\n",
+        "PHASE 2\n0 0\n-inf 0\n",
     ])
     def test_parse_errors(self, text):
         with pytest.raises(CliError):
@@ -274,6 +277,41 @@ class TestRepro:
         assert doc["minor_order"] == 36
         assert doc["minor_full_rank"] is True
         assert "rank 36" in err
+
+
+class TestBadInput:
+    FILES = {
+        "nan.mat": "CART 2\nnan,0 0.5,0\n0.5,0 -0.5,0\n",
+        "p.mat": format_matrix(petrescu(1.0)),
+        "specs.json": json.dumps([{
+            "theorem": "constr2", "base": "p.mat", "p1": [0, 1], "p2": [2, 3],
+            "d1": [0, 1], "d2": [2, 3], "residual": 0.0,
+        }]),
+    }
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "nan.mat"],
+        ["gen", "petrescu", "--lambda-angle", "nan"],
+        ["family", "p.mat", "--spec", "specs.json", "--param", "1.0", "--index", "999"],
+        ["family", "p.mat", "--spec", "specs.json", "--param", "nan"],
+        ["search", "--n", "4", "--masks", ";;;", "--max-iters", "-5"],
+    ])
+    def test_usage_error_exit_2(self, args, tmp_path):
+        for name, text in self.FILES.items():
+            (tmp_path / name).write_text(text)
+        args = [str(tmp_path / a) if a in self.FILES else a for a in args]
+        code, out, err = run_cli(args)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+        assert "Traceback" not in err
+
+
+def test_import_skips_scipy():
+    code = "import hadcert.cli, sys; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestDeterminism:

@@ -242,6 +242,10 @@ class TestConstr2:
         with pytest.raises(ValueError):
             constr2_family(petrescu_specs[0], 1.2)
 
+    def test_rejects_nan(self, petrescu_specs):
+        with pytest.raises(ValueError, match="not 1"):
+            constr2_family(petrescu_specs[0], np.exp(1j * np.nan))
+
     def test_rejects_uncertified(self):
         u = bjorck7()
         spec = block_pair_spec(

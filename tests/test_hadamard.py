@@ -122,6 +122,20 @@ class TestQrCirculant:
         with pytest.raises(ValueError, match="no unimodular"):
             qr_circulant(13, "solve")
 
+    @pytest.mark.parametrize("p", [3, 7, 11, 19, 23, 31, 43])
+    def test_solve_matches_closed_form(self, p):
+        # Gauss-sum value of Bjorck's construction for p = 3 (mod 4); the
+        # solver must pick the root with Im a > 0 out of the conjugate pair
+        j = next(j for j in range(p) if j not in quadratic_residues(p))
+        a = qr_circulant(p, "solve")[0, j] * np.sqrt(p)
+        assert abs(a - (1 - p + 2j * np.sqrt(p)) / (p + 1)) < 1e-14
+        assert a.imag > 0
+
+    @pytest.mark.parametrize("p", [5, 17, 29])  # 13: test_no_solution_reported
+    def test_no_solution_one_mod_four(self, p):
+        with pytest.raises(ValueError, match="no unimodular"):
+            qr_circulant(p, "solve")
+
 
 class TestPetrescu:
     def test_lambda_one_entries(self):
@@ -149,6 +163,11 @@ class TestPetrescu:
     def test_rejects_off_circle(self):
         with pytest.raises(ValueError):
             petrescu(1.1)
+
+    def test_rejects_nan(self):
+        for lam in (complex("nan+0j"), np.exp(1j * np.nan)):
+            with pytest.raises(ValueError, match="not 1"):
+                petrescu(lam)
 
 
 class TestDephase:

@@ -67,6 +67,9 @@ class TestObjective:
                 p3=mask_from_indices([0], 4),
                 p4=mask_from_indices([1], 4),
             )
+        for bad in (0, -5):
+            with pytest.raises(ValueError, match="max_iters"):
+                zero_cfg(4, max_iters=bad)
 
 
 class TestGradient:
