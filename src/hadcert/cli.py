@@ -181,7 +181,10 @@ def cmd_gen(args):
             raise CliError("gen fourier requires --n")
         if args.n < 1:
             raise CliError("order must be >= 1")
-        u = hadamard.fourier(args.n)
+        try:
+            u = hadamard.fourier(args.n)
+        except MemoryError:
+            raise CliError(f"order {args.n} is too large to hold in memory") from None
     elif kind == "petrescu":
         lam = np.exp(1j * args.lambda_angle)
         u = hadamard.petrescu(lam)

@@ -1,10 +1,12 @@
 """Dense complex matrix kernel: products, traces, commutators, Hermitian
 exponentials, singular values and numerical rank.
 
-All matrices are numpy arrays of complex128. Indices are 0-based throughout;
-add 1 to translate to the 1-based conventions common in the literature.
+Matrices are numpy arrays of complex128, except that numerical_rank also
+takes real input and keeps it float64. Indices are 0-based throughout; add 1
+to translate to the 1-based conventions common in the literature.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,9 +112,11 @@ def numerical_rank(a, policy=DEFAULT_POLICY):
 
     Returns (rank, gap, singular_values). rank counts singular values above
     rank_rel_cut * sigma_max; gap = sigma_rank / sigma_{rank+1}, infinite for
-    full rank (or an exactly zero tail).
+    full rank (or an exactly zero tail). Real input is decomposed as float64,
+    complex input as complex128.
     """
-    a = np.asarray(a, dtype=np.complex128)
+    a = np.asarray(a)
+    a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     s = np.linalg.svd(a, compute_uv=False)
@@ -140,9 +144,14 @@ def conditional_expect_diag(a):
 # --- diagonal 0/1 projections -------------------------------------------------
 
 def mask_from_indices(indices, n):
-    """Length-n 0/1 vector with ones at the given positions."""
+    """Length-n 0/1 vector with ones at the given positions. Raises
+    ValueError unless indices is a sequence of integers in 0..n-1."""
+    if isinstance(indices, (str, bytes)) or not hasattr(indices, "__iter__"):
+        raise ValueError(f"expected a list of indices, got {indices!r}")
     m = np.zeros(n, dtype=np.int8)
     for i in indices:
+        if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+            raise ValueError(f"index {i!r} is not an integer")
         if not 0 <= i < n:
             raise ValueError(f"index {i} out of range for order {n}")
         m[i] = 1

@@ -434,6 +434,8 @@ def spec_to_json_dict(spec, base_ref):
 def spec_from_json_dict(doc, base):
     """Rebuild a spec against the given base matrix; the residual is
     recomputed, not trusted."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a family spec is a JSON object, not {type(doc).__name__}")
     base = as_matrix(base)
     n = base.shape[0]
     tag = doc.get("theorem")

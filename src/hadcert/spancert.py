@@ -6,6 +6,16 @@ bound is attained the corresponding commuting square is rigid: no nearby
 inequivalent biunitary exists. The certificate records the measured rank of
 the stacked-commutator matrix, its full singular spectrum and the spectral
 gap at the cut, and issues a three-valued verdict.
+
+The rank is measured on a real matrix with the same singular values as the
+complex span matrix A. Column (l,k) of A is minus the conjugate of column
+(k,l), so for each k < l the unitary 2x2 mix
+
+    ((c_kl - c_lk) / sqrt2, -i (c_kl + c_lk) / sqrt2) = (sqrt2 Re c_kl, sqrt2 Im c_kl)
+
+turns the pair into two real columns. Together with the identically zero
+diagonal columns this is A W for a unitary W, so the spectrum is unchanged,
+and the real SVD takes about half the time of the complex one.
 """
 
 from dataclasses import dataclass
@@ -83,6 +93,23 @@ def span_matrix(u):
     return (deltas * prods).reshape(n * n, n * n)
 
 
+def _real_span_matrix(u):
+    """Real n^2 x n^2 matrix R = A W, W unitary, A = span_matrix(u).
+
+    R[(i,j),(k,l)] = sqrt2 (delta_ik - delta_il) Re(conj(u_jk) u_jl) for
+    k < l and the same with Im for k > l (Im of column (k,l) equals Im of
+    column (l,k)); the diagonal columns are zero. Built without the complex
+    n^4 array.
+    """
+    n = u.shape[0]
+    E = np.eye(n)
+    deltas = E[:, None, :, None] - E[:, None, None, :]
+    prods = np.conj(u)[:, :, None] * u[:, None, :]
+    upper = np.arange(n)[:, None] < np.arange(n)[None, :]
+    parts = np.sqrt(2.0) * np.where(upper, prods.real, prods.imag)
+    return (deltas * parts[None]).reshape(n * n, n * n)
+
+
 def reduced_minor(a):
     """The (n-1)^2 x (n-1)^2 minor with the linearly dependent rows and
     columns removed.
@@ -117,7 +144,7 @@ def certify_isolation(u, policy=DEFAULT_POLICY):
         )
     n = u.shape[0]
     expected = n * n - 2 * n + 1
-    rank, gap, sv = numerical_rank(span_matrix(u), policy)
+    rank, gap, sv = numerical_rank(_real_span_matrix(u), policy)
     if gap >= policy.cert_gap_min and rank == expected:
         label = ISOLATED
     elif gap >= policy.cert_gap_min and rank < expected:

@@ -287,6 +287,9 @@ class TestBadInput:
             "theorem": "constr2", "base": "p.mat", "p1": [0, 1], "p2": [2, 3],
             "d1": [0, 1], "d2": [2, 3], "residual": 0.0,
         }]),
+        "str_mask.json": json.dumps({"theorem": "constr1", "base": "p.mat", "p": "ab", "d": [0]}),
+        "float_mask.json": json.dumps({"theorem": "constr1", "base": "p.mat", "p": [1.5], "d": [0]}),
+        "not_object.json": json.dumps([1]),
     }
 
     @pytest.mark.parametrize("args", [
@@ -295,6 +298,10 @@ class TestBadInput:
         ["family", "p.mat", "--spec", "specs.json", "--param", "1.0", "--index", "999"],
         ["family", "p.mat", "--spec", "specs.json", "--param", "nan"],
         ["search", "--n", "4", "--masks", ";;;", "--max-iters", "-5"],
+        ["family", "p.mat", "--spec", "str_mask.json", "--param", "1.0"],
+        ["family", "p.mat", "--spec", "float_mask.json", "--param", "1.0"],
+        ["family", "p.mat", "--spec", "not_object.json", "--param", "1.0"],
+        ["gen", "fourier", "--n", "100000000"],
     ])
     def test_usage_error_exit_2(self, args, tmp_path):
         for name, text in self.FILES.items():

@@ -193,6 +193,33 @@ class TestNumericalRank:
         with pytest.raises(ValueError):
             numerical_rank(a)
 
+    def test_real_input_stays_real(self, rng, monkeypatch):
+        u, _ = np.linalg.qr(rng.normal(size=(7, 7)))
+        v, _ = np.linalg.qr(rng.normal(size=(7, 7)))
+        s = np.array([3.0, 2.0, 1.0, 1e-9, 1e-10, 1e-11, 1e-12])
+        a = (u * s) @ v.T
+        seen = []
+        svd = np.linalg.svd
+
+        def spy(m, **kwargs):
+            seen.append(m.dtype)
+            return svd(m, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        rank, gap, sv = numerical_rank(a)
+        crank, cgap, csv = numerical_rank(a.astype(np.complex128))
+        assert seen == [np.float64, np.complex128]
+        assert rank == crank == 3
+        assert gap == pytest.approx(cgap, rel=1e-5)
+        assert gap == pytest.approx(1e9, rel=1e-5)
+        assert np.max(np.abs(sv - csv)) < 1e-14
+
+
+@pytest.mark.parametrize("indices", ["ab", [1.5], None, 3, [True], {"a": 1}])
+def test_mask_from_indices_rejects_non_integers(indices):
+    with pytest.raises(ValueError):
+        mask_from_indices(indices, 4)
+
 
 class TestConditionalExpectDiag:
     def test_fixes_diagonals(self):

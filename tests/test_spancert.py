@@ -19,12 +19,16 @@ from hadcert import (
     reduced_minor,
     span_matrix,
 )
+from hadcert.spancert import _real_span_matrix
 
 # Span ranks of the order-n Fourier matrix, frozen from the gcd-sum kernel
 # count (see brute.gcd_sum_rank) and confirmed by exact sympy arithmetic for
 # n = 4 and 6 below.
 FOURIER_RANKS = {2: 1, 3: 4, 4: 8, 5: 16, 6: 21, 7: 36, 8: 44, 9: 60,
-                 10: 73, 11: 100, 12: 104, 13: 144}
+                 10: 73, 11: 100, 12: 104, 13: 144, 14: 157, 15: 180,
+                 16: 208, 17: 256, 18: 261, 19: 324, 20: 328, 21: 376,
+                 22: 421, 23: 484, 24: 476, 25: 560, 26: 601, 27: 648,
+                 28: 680, 29: 784, 30: 765, 31: 900, 32: 912}
 PETRESCU_RANK = 33
 
 
@@ -66,6 +70,47 @@ class TestSpanMatrix:
         rank, gap, _ = numerical_rank(span_matrix(bjorck7()))
         assert rank == 36
         assert gap > 1e10
+
+
+class TestRealForm:
+    """certify_isolation takes the rank from a real matrix R = A W, W unitary;
+    its spectrum must be that of the complex span matrix A."""
+
+    @staticmethod
+    def inputs():
+        rng = np.random.default_rng(11)
+        yield "F1", fourier(1)
+        for n in (2, 7, 16, 24):
+            yield f"F{n}", fourier(n)
+        yield "bjorck7", bjorck7()
+        yield "petrescu(1)", petrescu(1.0)
+        yield "petrescu(generic)", petrescu(np.exp(0.7j))
+        yield "F2xF4", np.kron(fourier(2), fourier(4))
+        for n in range(5, 10):
+            yield f"random{n}", brute.random_biunitary(n, rng)
+
+    def test_spectrum_matches_complex_svd(self):
+        for label, u in self.inputs():
+            a = span_matrix(u)
+            want = np.linalg.svd(a, compute_uv=False)
+            cert = certify_isolation(u)
+            diff = np.max(np.abs(cert.singular_values - want))
+            assert diff <= 1e-12 * want[0], label
+            assert cert.rank == numerical_rank(a)[0], label
+
+    def test_entry_formula(self, rng):
+        u = brute.random_biunitary(4, rng)
+        r = _real_span_matrix(u)
+        assert r.dtype == np.float64
+        for i in range(4):
+            for j in range(4):
+                for k in range(4):
+                    for l in range(4):
+                        z = ((i == k) - (i == l)) * np.conj(u[j, k]) * u[j, l]
+                        want = np.sqrt(2) * (z.real if k < l else z.imag)
+                        assert abs(r[i * 4 + j, k * 4 + l] - want) < 1e-15
+                        if k == l:
+                            assert r[i * 4 + j, k * 4 + l] == 0.0
 
 
 class TestReducedMinor:
@@ -121,6 +166,7 @@ class TestCertify:
         for n, rank in FOURIER_RANKS.items():
             cert = certify_isolation(fourier(n))
             assert cert.rank == rank == brute.gcd_sum_rank(n), n
+            assert cert.gap >= DEFAULT_POLICY.cert_gap_min, n
 
     def test_rejects_non_biunitary(self):
         with pytest.raises(ValueError):
