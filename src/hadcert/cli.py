@@ -208,7 +208,10 @@ def cmd_gen(args):
         row = [_parse_complex_token(t) for t in text.split()]
         if not row:
             raise CliError("empty circulant row file")
-        u = hadamard.circulant(row)
+        try:
+            u = hadamard.circulant(row)
+        except MemoryError:
+            raise CliError(f"order {len(row)} is too large to hold in memory") from None
     else:  # pragma: no cover - argparse restricts choices
         raise CliError(f"unknown kind {kind!r}")
     sys.stdout.write(format_matrix(u, args.format, _policy_from(args)))
@@ -308,6 +311,8 @@ def cmd_search(args):
                 best, best_key = res, key
     except ValueError as exc:
         raise CliError(str(exc)) from None
+    except MemoryError:
+        raise CliError(f"order {args.n} is too large to hold in memory") from None
     _emit(
         {
             "n": args.n,

@@ -11,6 +11,11 @@ quadruple (p1, p2 | p3, p4). The reported objective is the un-squared sum of
 the two Frobenius norms. The sign between the commutators is fixed by the
 requirement that the objective vanish on the known 7x7 block-phase family
 with its canonical masks.
+
+Each point the descent visits is evaluated once. The evaluation the line
+search accepts gives the convergence test, the trace entry and the
+products (U, U U* - I, U P3, U P4 and the commutator defect) that the
+gradient at that point is formed from.
 """
 
 from dataclasses import dataclass, field
@@ -70,15 +75,48 @@ class SearchResult:
     trace: list = field(default_factory=list)
 
 
-def _terms(theta, cfg):
-    """(unitarity defect^2, commutator defect^2) at the given phases."""
+def _evaluator(cfg):
+    """(evaluate, grad) for one config, with its constants built once.
+
+    evaluate(theta) returns (t1, t2, parts): the squared unitarity and
+    commutator defects, and the products (u, r, u P3, u P4, k) they were
+    built from. grad(parts) forms the gradient of t1 + t2 from those
+    products. The commutator term is skipped when (p1, p2) or (p3, p4) are
+    both empty, since it then vanishes identically.
+    """
     n = cfg.n
-    u = np.exp(1j * theta) / np.sqrt(n)
-    r = u @ u.conj().T - np.eye(n)
-    q3 = (u * cfg.p3[None, :]) @ u.conj().T
-    q4 = (u * cfg.p4[None, :]) @ u.conj().T
-    k = (cfg.p1[:, None] - cfg.p1[None, :]) * q3 - (cfg.p2[:, None] - cfg.p2[None, :]) * q4
-    return float(np.sum(np.abs(r) ** 2)), float(np.sum(np.abs(k) ** 2))
+    root_n = np.sqrt(n)
+    eye = np.eye(n)
+    p3 = cfg.p3[None, :]
+    p4 = cfg.p4[None, :]
+    s1 = cfg.p1[:, None] - cfg.p1[None, :]
+    s2 = cfg.p2[:, None] - cfg.p2[None, :]
+    commutes = (cfg.p1.any() or cfg.p2.any()) and (cfg.p3.any() or cfg.p4.any())
+
+    def evaluate(theta):
+        u = np.exp(1j * theta) / root_n
+        uh = u.conj().T
+        r = u @ uh - eye
+        t1 = float(np.sum(np.abs(r) ** 2))
+        if not commutes:
+            return t1, 0.0, (u, r, None, None, None)
+        u3 = u * p3
+        u4 = u * p4
+        k = s1 * (u3 @ uh) - s2 * (u4 @ uh)
+        return t1, float(np.sum(np.abs(k) ** 2)), (u, r, u3, u4, k)
+
+    def grad(parts):
+        u, r, u3, u4, k = parts
+        w = r @ u
+        if k is not None:
+            w = w + (s1 * k) @ u3 - (s2 * k) @ u4
+        return 4.0 * np.imag(np.conj(u) * w)
+
+    return evaluate, grad
+
+
+def _unsquared(t1, t2):
+    return float(np.sqrt(t1) + np.sqrt(t2))
 
 
 def objective(theta, cfg):
@@ -86,12 +124,12 @@ def objective(theta, cfg):
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (cfg.n, cfg.n):
         raise ValueError(f"phase matrix must be {cfg.n}x{cfg.n}")
-    t1, t2 = _terms(theta, cfg)
-    return float(np.sqrt(t1) + np.sqrt(t2))
+    t1, t2, _ = _evaluator(cfg)[0](theta)
+    return _unsquared(t1, t2)
 
 
 def _smoothed(theta, cfg):
-    t1, t2 = _terms(theta, cfg)
+    t1, t2, _ = _evaluator(cfg)[0](theta)
     return t1 + t2
 
 
@@ -102,25 +140,19 @@ def gradient(theta, cfg):
     4 Im(conj(U) * W) for the appropriate W; matches central finite
     differences to ~1e-9 relative.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    n = cfg.n
-    u = np.exp(1j * theta) / np.sqrt(n)
-    r = u @ u.conj().T - np.eye(n)
-    q3 = (u * cfg.p3[None, :]) @ u.conj().T
-    q4 = (u * cfg.p4[None, :]) @ u.conj().T
-    s1 = cfg.p1[:, None] - cfg.p1[None, :]
-    s2 = cfg.p2[:, None] - cfg.p2[None, :]
-    k = s1 * q3 - s2 * q4
-    w = r @ u + (s1 * k) @ (u * cfg.p3[None, :]) - (s2 * k) @ (u * cfg.p4[None, :])
-    return 4.0 * np.imag(np.conj(u) * w)
+    evaluate, grad = _evaluator(cfg)
+    return grad(evaluate(np.asarray(theta, dtype=np.float64))[2])
 
 
 def local_search(cfg):
     """Conjugate-gradient descent with a monotone backtracking line search.
 
-    Deterministic for a fixed config (including rng_seed). The trace records
-    the smoothed objective after every accepted step and never increases;
-    converged means the reported (un-squared) objective reached cfg.tol_obj.
+    Deterministic for a fixed config (including rng_seed). Each point is
+    evaluated once: the evaluation the line search accepts also gives the
+    convergence test, the trace entry and the products the next gradient
+    is formed from. The trace records the smoothed objective after every
+    accepted step and never increases; converged means the reported
+    (un-squared) objective reached cfg.tol_obj.
     """
     if cfg.seed_phases is not None:
         theta = cfg.seed_phases.copy()
@@ -128,14 +160,16 @@ def local_search(cfg):
         rng = np.random.default_rng(cfg.rng_seed)
         theta = rng.uniform(0.0, 2.0 * np.pi, (cfg.n, cfg.n))
 
-    f = _smoothed(theta, cfg)
-    g = gradient(theta, cfg)
+    evaluate, grad = _evaluator(cfg)
+    t1, t2, parts = evaluate(theta)
+    f = t1 + t2
+    g = grad(parts)
     d = -g
     step = cfg.step0
     trace = [f]
     iterations = 0
     for it in range(1, cfg.max_iters + 1):
-        if objective(theta, cfg) <= cfg.tol_obj:
+        if _unsquared(t1, t2) <= cfg.tol_obj:
             break
         gd = float(np.sum(g * d))
         if gd >= 0.0:
@@ -144,26 +178,26 @@ def local_search(cfg):
         if gd == 0.0:
             break
         s = step
-        accepted = False
         for _ in range(60):
-            f_new = _smoothed(theta + s * d, cfg)
-            if f_new <= f + 1e-4 * s * gd:
-                accepted = True
+            trial = theta + s * d
+            point = evaluate(trial)
+            if point[0] + point[1] <= f + 1e-4 * s * gd:
                 break
             s *= 0.5
-        if not accepted:
+        else:  # no step in 60 halvings met the Armijo condition
             break
-        theta = theta + s * d
-        g_new = gradient(theta, cfg)
+        theta = trial
+        t1, t2, parts = point
+        g_new = grad(parts)
         beta = max(0.0, float(np.sum(g_new * (g_new - g))) / max(float(np.sum(g * g)), 1e-300))
         d = -g_new + beta * d
         g = g_new
-        f = f_new
+        f = t1 + t2
         trace.append(f)
         iterations = it
         step = min(s * 2.0, 1e3)
 
-    final = objective(theta, cfg)
+    final = _unsquared(t1, t2)
     return SearchResult(
         phases=theta,
         objective=final,

@@ -180,3 +180,81 @@ def random_equivalence_move(u, rng):
     p1 = np.eye(n)[rng.permutation(n)]
     p2 = np.eye(n)[rng.permutation(n)]
     return (d1[:, None] * p1) @ u @ (p2 * d2[None, :])
+
+
+def reference_local_search(cfg):
+    """The phase descent of hadcert.search written as it stood before the
+    evaluations were shared: every objective, smoothed objective and
+    gradient call rebuilds U, U U*, U P3 U*, U P4 U* and the mask
+    differences from the phases. Same floating-point expressions, so the
+    library's fused loop must reproduce it bit for bit. Returns (phases,
+    objective, iterations, converged, trace)."""
+    n = cfg.n
+
+    def terms(theta):
+        u = np.exp(1j * theta) / np.sqrt(n)
+        r = u @ u.conj().T - np.eye(n)
+        q3 = (u * cfg.p3[None, :]) @ u.conj().T
+        q4 = (u * cfg.p4[None, :]) @ u.conj().T
+        k = (cfg.p1[:, None] - cfg.p1[None, :]) * q3 - (cfg.p2[:, None] - cfg.p2[None, :]) * q4
+        return float(np.sum(np.abs(r) ** 2)), float(np.sum(np.abs(k) ** 2))
+
+    def objective(theta):
+        t1, t2 = terms(theta)
+        return float(np.sqrt(t1) + np.sqrt(t2))
+
+    def smoothed(theta):
+        t1, t2 = terms(theta)
+        return t1 + t2
+
+    def gradient(theta):
+        u = np.exp(1j * theta) / np.sqrt(n)
+        r = u @ u.conj().T - np.eye(n)
+        q3 = (u * cfg.p3[None, :]) @ u.conj().T
+        q4 = (u * cfg.p4[None, :]) @ u.conj().T
+        s1 = cfg.p1[:, None] - cfg.p1[None, :]
+        s2 = cfg.p2[:, None] - cfg.p2[None, :]
+        k = s1 * q3 - s2 * q4
+        w = r @ u + (s1 * k) @ (u * cfg.p3[None, :]) - (s2 * k) @ (u * cfg.p4[None, :])
+        return 4.0 * np.imag(np.conj(u) * w)
+
+    if cfg.seed_phases is not None:
+        theta = cfg.seed_phases.copy()
+    else:
+        theta = np.random.default_rng(cfg.rng_seed).uniform(0.0, 2.0 * np.pi, (n, n))
+    f = smoothed(theta)
+    g = gradient(theta)
+    d = -g
+    step = cfg.step0
+    trace = [f]
+    iterations = 0
+    for it in range(1, cfg.max_iters + 1):
+        if objective(theta) <= cfg.tol_obj:
+            break
+        gd = float(np.sum(g * d))
+        if gd >= 0.0:
+            d = -g
+            gd = -float(np.sum(g * g))
+        if gd == 0.0:
+            break
+        s = step
+        accepted = False
+        for _ in range(60):
+            f_new = smoothed(theta + s * d)
+            if f_new <= f + 1e-4 * s * gd:
+                accepted = True
+                break
+            s *= 0.5
+        if not accepted:
+            break
+        theta = theta + s * d
+        g_new = gradient(theta)
+        beta = max(0.0, float(np.sum(g_new * (g_new - g))) / max(float(np.sum(g * g)), 1e-300))
+        d = -g_new + beta * d
+        g = g_new
+        f = f_new
+        trace.append(f)
+        iterations = it
+        step = min(s * 2.0, 1e3)
+    final = objective(theta)
+    return theta, final, iterations, final <= cfg.tol_obj, trace

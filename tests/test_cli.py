@@ -283,6 +283,7 @@ class TestBadInput:
     FILES = {
         "nan.mat": "CART 2\nnan,0 0.5,0\n0.5,0 -0.5,0\n",
         "p.mat": format_matrix(petrescu(1.0)),
+        "f4.mat": format_matrix(fourier(4)),
         "specs.json": json.dumps([{
             "theorem": "constr2", "base": "p.mat", "p1": [0, 1], "p2": [2, 3],
             "d1": [0, 1], "d2": [2, 3], "residual": 0.0,
@@ -290,9 +291,9 @@ class TestBadInput:
         "str_mask.json": json.dumps({"theorem": "constr1", "base": "p.mat", "p": "ab", "d": [0]}),
         "float_mask.json": json.dumps({"theorem": "constr1", "base": "p.mat", "p": [1.5], "d": [0]}),
         "not_object.json": json.dumps([1]),
+        "huge_row.txt": " ".join(["1,0"] * 200000),
     }
-
-    @pytest.mark.parametrize("args", [
+    USAGE_ERRORS = [
         ["verify", "nan.mat"],
         ["gen", "petrescu", "--lambda-angle", "nan"],
         ["family", "p.mat", "--spec", "specs.json", "--param", "1.0", "--index", "999"],
@@ -302,15 +303,48 @@ class TestBadInput:
         ["family", "p.mat", "--spec", "float_mask.json", "--param", "1.0"],
         ["family", "p.mat", "--spec", "not_object.json", "--param", "1.0"],
         ["gen", "fourier", "--n", "100000000"],
-    ])
-    def test_usage_error_exit_2(self, args, tmp_path):
+        ["search", "--n", "200000", "--masks", ";;;"],
+        ["gen", "circulant", "--row", "huge_row.txt"],
+    ]
+    NEGATIVE_VERDICTS = [
+        ["certify", "f4.mat"],
+        ["search", "--n", "5", "--masks", "0;1;2;3", "--seed", "0", "--max-iters", "1"],
+    ]
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        """run(args) -> (code, stdout, stderr), once per command for the class:
+        both tests below read the same runs."""
+        where = tmp_path_factory.mktemp("bad_input")
         for name, text in self.FILES.items():
-            (tmp_path / name).write_text(text)
-        args = [str(tmp_path / a) if a in self.FILES else a for a in args]
-        code, out, err = run_cli(args)
+            (where / name).write_text(text)
+        runs = {}
+
+        def run(args):
+            key = tuple(args)
+            if key not in runs:
+                runs[key] = run_cli([str(where / a) if a in self.FILES else a for a in args])
+            return runs[key]
+
+        return run
+
+    @pytest.mark.parametrize("args", USAGE_ERRORS)
+    def test_usage_error_exit_2(self, args, run):
+        code, out, err = run(args)
         assert code == 2
         assert out == ""
         assert "error:" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("args", USAGE_ERRORS + NEGATIVE_VERDICTS)
+    def test_exit_contract(self, args, run):
+        # 1 is the negative-verdict code, so it must come with a verdict
+        code, out, err = run(args)
+        assert code in (0, 1, 2)
+        if code == 1:
+            json.loads(out)
+        if args in self.NEGATIVE_VERDICTS:
+            assert code == 1
         assert "Traceback" not in err
 
 

@@ -140,6 +140,28 @@ class TestLocalSearch:
         assert not res.converged
         assert res.iterations <= 1
 
+    @pytest.mark.parametrize("n,masks,cap", [
+        (7, "0,1;2,3;0,1;2,3", 400),    # the Petrescu masks
+        (6, "0;1,2;0,4;1", 800),        # runs into the cap
+        (8, ";;;", 400),                # unitarity only
+        (9, ";;;", 400),
+        (6, "0,1;;0,2;", 400),          # only p1 and p3 non-empty
+    ])
+    def test_matches_reference_loop(self, n, masks, cap):
+        # the shared evaluations must not move the descent by a single bit
+        p = [mask_from_indices([int(i) for i in part.split(",") if i], n)
+             for part in masks.split(";")]
+        for seed in (0, 1):
+            cfg = SearchConfig(n=n, p1=p[0], p2=p[1], p3=p[2], p4=p[3],
+                               max_iters=cap, rng_seed=seed)
+            res = local_search(cfg)
+            phases, obj, iterations, converged, trace = brute.reference_local_search(cfg)
+            assert np.array_equal(res.phases, phases)
+            assert res.iterations == iterations
+            assert res.objective == obj
+            assert res.converged == converged
+            assert res.trace == trace
+
 
 class TestPromote:
     def test_promotes_perturbed_petrescu(self, rng):
