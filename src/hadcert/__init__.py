@@ -8,15 +8,10 @@ and search numerically for new family seeds.
 from .cmatrix import (
     DEFAULT_POLICY,
     NumericPolicy,
-    adjoint,
-    commutator,
-    conditional_expect_diag,
     expi_hermitian,
     frobenius_norm,
     mask_from_indices,
     mask_indices,
-    matmul,
-    normalized_trace,
     numerical_rank,
     projection_matrix,
 )

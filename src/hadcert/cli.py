@@ -27,7 +27,7 @@ import numpy as np
 from . import families, hadamard, search, spancert
 from .cmatrix import DEFAULT_POLICY, NumericPolicy, mask_from_indices, numerical_rank
 
-__all__ = ["main", "read_matrix", "write_matrix", "format_matrix", "parse_matrix"]
+__all__ = ["main", "read_matrix", "format_matrix", "parse_matrix"]
 
 DET_FMT = "%.17g"
 
@@ -48,6 +48,16 @@ def finite(tok):
     if not math.isfinite(x):
         raise ValueError(f"non-finite value {tok!r}")
     return x
+
+
+def complex_token(tok):
+    """complex from a 're,im' token, with ValueError for any other token,
+    nan and inf included."""
+    try:
+        re_s, im_s = tok.split(",")
+        return complex(finite(re_s), finite(im_s))
+    except ValueError:
+        raise ValueError(f"bad complex token {tok!r}; expected 're,im'") from None
 
 
 def format_matrix(u, fmt="cart", policy=DEFAULT_POLICY):
@@ -98,8 +108,7 @@ def parse_matrix(text):
         for j, tok in enumerate(toks):
             try:
                 if head[0] == "CART":
-                    re_s, im_s = tok.split(",")
-                    out[i, j] = complex(finite(re_s), finite(im_s))
+                    out[i, j] = complex_token(tok)
                 else:
                     out[i, j] = np.exp(1j * finite(tok)) / np.sqrt(n)
             except ValueError:
@@ -107,18 +116,21 @@ def parse_matrix(text):
     return out
 
 
-def read_matrix(path):
-    """Read a matrix file; '-' reads stdin."""
+def _read_text(path, stdin=False):
+    """The text of the file at path, or of stdin when stdin is set; a
+    CliError when it cannot be read."""
     try:
-        text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
+        if stdin:
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
-    return parse_matrix(text)
 
 
-def write_matrix(u, path, fmt="cart"):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_matrix(u, fmt))
+def read_matrix(path):
+    """Read a matrix file; '-' reads stdin."""
+    return parse_matrix(_read_text(path, stdin=path == "-"))
 
 
 # --- helpers --------------------------------------------------------------------
@@ -150,71 +162,46 @@ def _emit(obj):
     sys.stdout.write(json.dumps(obj) + "\n")
 
 
-def _parse_complex_token(tok):
-    try:
-        re_s, im_s = tok.split(",")
-        return complex(finite(re_s), finite(im_s))
-    except ValueError:
-        raise CliError(f"bad complex token {tok!r}; expected 're,im'") from None
-
-
 def _parse_index_list(tok, n):
     tok = tok.strip()
-    if not tok:
-        return mask_from_indices([], n)
     try:
-        idx = [int(t) for t in tok.split(",")]
+        idx = [int(t) for t in tok.split(",")] if tok else []
     except ValueError:
-        raise CliError(f"bad index list {tok!r}") from None
-    try:
-        return mask_from_indices(idx, n)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+        raise ValueError(f"bad index list {tok!r}") from None
+    return mask_from_indices(idx, n)
 
 
 # --- subcommands ----------------------------------------------------------------
 
 def cmd_gen(args):
     kind = args.kind
-    if kind == "fourier":
-        if args.n is None:
-            raise CliError("gen fourier requires --n")
-        if args.n < 1:
-            raise CliError("order must be >= 1")
-        try:
+    policy = _policy_from(args)
+    try:
+        if kind == "fourier":
+            if args.n is None:
+                raise CliError("gen fourier requires --n")
             u = hadamard.fourier(args.n)
-        except MemoryError:
-            raise CliError(f"order {args.n} is too large to hold in memory") from None
-    elif kind == "petrescu":
-        lam = np.exp(1j * args.lambda_angle)
-        u = hadamard.petrescu(lam)
-    elif kind == "bjorck7":
-        u = hadamard.bjorck7()
-    elif kind == "qr-circulant":
-        if args.n is None:
-            raise CliError("gen qr-circulant requires --n")
-        a = "solve" if args.a == "solve" else _parse_complex_token(args.a)
-        try:
-            u = hadamard.qr_circulant(args.n, a, _policy_from(args))
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
-    elif kind == "circulant":
-        if args.row is None:
-            raise CliError("gen circulant requires --row FILE")
-        try:
-            text = open(args.row, encoding="utf-8").read()
-        except OSError as exc:
-            raise CliError(f"cannot read {args.row}: {exc}") from None
-        row = [_parse_complex_token(t) for t in text.split()]
-        if not row:
-            raise CliError("empty circulant row file")
-        try:
+        elif kind == "petrescu":
+            u = hadamard.petrescu(np.exp(1j * args.lambda_angle))
+        elif kind == "bjorck7":
+            u = hadamard.bjorck7()
+        elif kind == "qr-circulant":
+            if args.n is None:
+                raise CliError("gen qr-circulant requires --n")
+            a = "solve" if args.a == "solve" else complex_token(args.a)
+            u = hadamard.qr_circulant(args.n, a, policy)
+        elif kind == "circulant":
+            if args.row is None:
+                raise CliError("gen circulant requires --row FILE")
+            row = [complex_token(t) for t in _read_text(args.row).split()]
+            if not row:
+                raise CliError("empty circulant row file")
             u = hadamard.circulant(row)
-        except MemoryError:
-            raise CliError(f"order {len(row)} is too large to hold in memory") from None
-    else:  # pragma: no cover - argparse restricts choices
-        raise CliError(f"unknown kind {kind!r}")
-    sys.stdout.write(format_matrix(u, args.format, _policy_from(args)))
+        else:  # pragma: no cover - argparse restricts choices
+            raise CliError(f"unknown kind {kind!r}")
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+    sys.stdout.write(format_matrix(u, args.format, policy))
     return 0
 
 
@@ -260,8 +247,8 @@ def cmd_family(args):
     u = read_matrix(args.file)
     policy = _policy_from(args)
     try:
-        doc = json.loads(open(args.spec, encoding="utf-8").read())
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = json.loads(_read_text(args.spec))
+    except json.JSONDecodeError as exc:
         raise CliError(f"cannot read spec {args.spec}: {exc}") from None
     if isinstance(doc, list):
         if not doc:
@@ -285,12 +272,10 @@ def cmd_search(args):
     parts = args.masks.split(";")
     if len(parts) != 4:
         raise CliError("--masks must hold four ';'-separated index lists")
-    if args.n < 1:
-        raise CliError("order must be >= 1")
     if args.starts < 1:
         raise CliError("--starts must be >= 1")
-    masks = [_parse_index_list(p, args.n) for p in parts]
     try:
+        masks = [_parse_index_list(p, args.n) for p in parts]
         best = None
         best_key = None
         for k in range(args.starts):
@@ -311,8 +296,6 @@ def cmd_search(args):
                 best, best_key = res, key
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    except MemoryError:
-        raise CliError(f"order {args.n} is too large to hold in memory") from None
     _emit(
         {
             "n": args.n,
@@ -419,7 +402,6 @@ def build_parser():
     p.add_argument("--max-iters", type=int, default=10000)
     p.add_argument("--step0", type=float, default=0.1)
     p.add_argument("--tol-obj", type=float, default=1e-10)
-    _add_policy_flags(p)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("repro", help="order-7 circulant rank/determinant reproduction")
@@ -435,8 +417,11 @@ def main(argv=None):
     try:
         return args.func(args)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = str(exc)
+    except MemoryError:
+        message = "the input is too large to hold in memory"
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
-"""Dense complex matrix kernel: products, traces, commutators, Hermitian
-exponentials, singular values and numerical rank.
+"""Dense complex matrix kernel: the numeric policy, Hermitian exponentials,
+singular values and numerical rank, and diagonal 0/1 masks.
 
 Matrices are numpy arrays of complex128, except that numerical_rank also
 takes real input and keeps it float64. Indices are 0-based throughout; add 1
@@ -15,14 +15,10 @@ __all__ = [
     "NumericPolicy",
     "DEFAULT_POLICY",
     "as_matrix",
-    "matmul",
-    "adjoint",
-    "normalized_trace",
-    "commutator",
     "expi_hermitian",
     "numerical_rank",
     "frobenius_norm",
-    "conditional_expect_diag",
+    "as_mask",
     "mask_from_indices",
     "mask_indices",
     "projection_matrix",
@@ -63,34 +59,6 @@ def as_matrix(a):
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
-
-
-def matmul(a, b):
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"order mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def adjoint(a):
-    """Conjugate transpose."""
-    return np.asarray(a, dtype=np.complex128).conj().T
-
-
-def normalized_trace(a):
-    """(1/n) * sum of diagonal entries."""
-    a = np.asarray(a)
-    return complex(np.trace(a)) / a.shape[0]
-
-
-def commutator(a, b):
-    """ab - ba. Raises on order mismatch."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.shape != b.shape:
-        raise ValueError(f"order mismatch: {a.shape} vs {b.shape}")
-    return a @ b - b @ a
 
 
 def expi_hermitian(h, t, policy=DEFAULT_POLICY):
@@ -134,14 +102,17 @@ def frobenius_norm(a):
     return float(np.linalg.norm(np.asarray(a)))
 
 
-def conditional_expect_diag(a):
-    """Trace-preserving projection onto the diagonal algebra (off-diagonal
-    entries zeroed)."""
-    a = np.asarray(a, dtype=np.complex128)
-    return np.diag(np.diag(a))
-
-
 # --- diagonal 0/1 projections -------------------------------------------------
+
+def as_mask(mask, n):
+    """mask as a flat length-n int8 0/1 vector. Raises ValueError unless
+    every value is exactly 0 or 1; the values are checked before the cast,
+    so 1.9 or 0.5 is rejected rather than truncated."""
+    m = np.asarray(mask).ravel()
+    if m.size != n or not np.all((m == 0) | (m == 1)):
+        raise ValueError(f"expected a 0/1 mask of length {n}")
+    return m.astype(np.int8)
+
 
 def mask_from_indices(indices, n):
     """Length-n 0/1 vector with ones at the given positions. Raises

@@ -23,6 +23,7 @@ import numpy as np
 
 from .cmatrix import (
     DEFAULT_POLICY,
+    as_mask,
     as_matrix,
     expi_hermitian,
     frobenius_norm,
@@ -100,13 +101,6 @@ def block_residual(u, p1_mask, p2_mask, d1_mask, d2_mask):
     return frobenius_norm(k)
 
 
-def _as_mask(mask, n):
-    m = np.asarray(mask, dtype=np.int8).ravel()
-    if m.size != n or not np.all((m == 0) | (m == 1)):
-        raise ValueError(f"expected a 0/1 mask of length {n}")
-    return m
-
-
 def _check_nontrivial(mask, name):
     s = int(np.sum(mask))
     if s == 0 or s == mask.size:
@@ -117,8 +111,8 @@ def commuting_pair_spec(u, p_mask, d_mask):
     """Build a CommutingPairSpec with the measured residual."""
     u = as_matrix(u)
     n = u.shape[0]
-    p = _as_mask(p_mask, n)
-    d = _as_mask(d_mask, n)
+    p = as_mask(p_mask, n)
+    d = as_mask(d_mask, n)
     _check_nontrivial(p, "p_mask")
     _check_nontrivial(d, "d_mask")
     return CommutingPairSpec(u, p, d, commuting_residual(u, p, d))
@@ -129,10 +123,10 @@ def block_pair_spec(u, p1_mask, p2_mask, d1_mask, d2_mask):
     pairwise disjoint within each side and non-trivial."""
     u = as_matrix(u)
     n = u.shape[0]
-    p1 = _as_mask(p1_mask, n)
-    p2 = _as_mask(p2_mask, n)
-    d1 = _as_mask(d1_mask, n)
-    d2 = _as_mask(d2_mask, n)
+    p1 = as_mask(p1_mask, n)
+    p2 = as_mask(p2_mask, n)
+    d1 = as_mask(d1_mask, n)
+    d2 = as_mask(d2_mask, n)
     for m, name in ((p1, "p1_mask"), (p2, "p2_mask"), (d1, "d1_mask"), (d2, "d2_mask")):
         _check_nontrivial(m, name)
     if np.any(p1 * p2) or np.any(d1 * d2):

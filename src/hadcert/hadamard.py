@@ -18,7 +18,6 @@ __all__ = [
     "fourier",
     "verify_biunitary",
     "circulant",
-    "first_row",
     "bjorck7",
     "qr_circulant",
     "petrescu",
@@ -64,11 +63,6 @@ def circulant(row):
     n = row.size
     i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     return row[(j - i) % n]
-
-
-def first_row(s):
-    """Inverse of circulant(): the generating row."""
-    return as_matrix(s)[0].copy()
 
 
 def quadratic_residues(n):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cmatrix import DEFAULT_POLICY
+from .cmatrix import DEFAULT_POLICY, as_mask
 from .families import block_pair_spec
 
 __all__ = ["SearchConfig", "SearchResult", "objective", "gradient", "local_search", "promote"]
@@ -33,9 +33,10 @@ class SearchConfig:
     """Fixed masks and knobs for one local search run.
 
     seed_phases: starting phase matrix; drawn uniformly from [0, 2*pi) with
-    rng_seed when omitted. p1/p2 and p3/p4 must be exactly disjoint (they may
-    be empty, which reduces the objective to the unitarity term). max_iters
-    must be at least 1.
+    rng_seed when omitted. The masks are 0/1 vectors of length n >= 1, stored
+    as float64; p1/p2 and p3/p4 must be exactly disjoint (they may be empty,
+    which reduces the objective to the unitarity term). max_iters must be at
+    least 1, step0 finite and > 0, tol_obj finite and >= 0.
     """
 
     n: int
@@ -50,10 +51,10 @@ class SearchConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("order must be >= 1")
         for name in ("p1", "p2", "p3", "p4"):
-            m = np.asarray(getattr(self, name), dtype=np.float64).ravel()
-            if m.size != self.n or not np.all((m == 0) | (m == 1)):
-                raise ValueError(f"{name} must be a 0/1 mask of length {self.n}")
+            m = as_mask(getattr(self, name), self.n).astype(np.float64)
             object.__setattr__(self, name, m)
         if np.any(self.p1 * self.p2) or np.any(self.p3 * self.p4):
             raise ValueError("p1/p2 and p3/p4 must be disjoint")
@@ -64,6 +65,10 @@ class SearchConfig:
             object.__setattr__(self, "seed_phases", s)
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not 0 < self.step0 < np.inf:
+            raise ValueError(f"step0 must be finite and > 0, got {self.step0}")
+        if not 0 <= self.tol_obj < np.inf:
+            raise ValueError(f"tol_obj must be finite and >= 0, got {self.tol_obj}")
 
 
 @dataclass(frozen=True)

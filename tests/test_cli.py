@@ -1,3 +1,4 @@
+import importlib
 import json
 import subprocess
 import sys
@@ -10,8 +11,9 @@ from hadcert.cli import CliError, format_matrix, main, parse_matrix
 
 
 def run_cli(args, stdin=None):
+    # an unclosed file then prints a warning with a traceback on stderr
     proc = subprocess.run(
-        [sys.executable, "-m", "hadcert", *args],
+        [sys.executable, "-W", "error::ResourceWarning", "-m", "hadcert", *args],
         capture_output=True,
         text=True,
         input=stdin,
@@ -292,6 +294,7 @@ class TestBadInput:
         "float_mask.json": json.dumps({"theorem": "constr1", "base": "p.mat", "p": [1.5], "d": [0]}),
         "not_object.json": json.dumps([1]),
         "huge_row.txt": " ".join(["1,0"] * 200000),
+        "row.txt": "1,0 0,0 0,0\n",
     }
     USAGE_ERRORS = [
         ["verify", "nan.mat"],
@@ -305,10 +308,20 @@ class TestBadInput:
         ["gen", "fourier", "--n", "100000000"],
         ["search", "--n", "200000", "--masks", ";;;"],
         ["gen", "circulant", "--row", "huge_row.txt"],
+        ["search", "--n", "4", "--masks", ";;;", "--step0", "nan"],
+        ["search", "--n", "4", "--masks", ";;;", "--step0", "-0.5"],
+        ["search", "--n", "4", "--masks", ";;;", "--tol-obj", "nan"],
+        ["search", "--n", "0", "--masks", ";;;"],
+        ["search", "--n", "-1", "--masks", ";;;"],
     ]
     NEGATIVE_VERDICTS = [
         ["certify", "f4.mat"],
         ["search", "--n", "5", "--masks", "0;1;2;3", "--seed", "0", "--max-iters", "1"],
+    ]
+    POSITIVE_VERDICTS = [
+        ["verify", "p.mat"],
+        ["family", "p.mat", "--spec", "specs.json", "--param", "1.0"],
+        ["gen", "circulant", "--row", "row.txt"],
     ]
 
     @pytest.fixture(scope="class")
@@ -336,7 +349,7 @@ class TestBadInput:
         assert "error:" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("args", USAGE_ERRORS + NEGATIVE_VERDICTS)
+    @pytest.mark.parametrize("args", USAGE_ERRORS + NEGATIVE_VERDICTS + POSITIVE_VERDICTS)
     def test_exit_contract(self, args, run):
         # 1 is the negative-verdict code, so it must come with a verdict
         code, out, err = run(args)
@@ -345,7 +358,10 @@ class TestBadInput:
             json.loads(out)
         if args in self.NEGATIVE_VERDICTS:
             assert code == 1
+        if args in self.POSITIVE_VERDICTS:
+            assert code == 0
         assert "Traceback" not in err
+        assert "ResourceWarning" not in err
 
 
 def test_import_skips_scipy():
@@ -353,6 +369,27 @@ def test_import_skips_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("module", [
+    "hadcert", "hadcert.cli", "hadcert.cmatrix", "hadcert.families",
+    "hadcert.hadamard", "hadcert.search", "hadcert.spancert",
+])
+def test_exports_resolve(module):
+    names = {}
+    exec(f"from {module} import *", names)
+    assert set(getattr(importlib.import_module(module), "__all__", ())) <= names.keys()
+
+
+def test_memory_error_exit_2(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("hadcert.cli.format_matrix", exhausted)
+    assert main(["gen", "fourier", "--n", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error:" in err
 
 
 class TestDeterminism:

@@ -21,6 +21,7 @@ from hadcert import (
 )
 from hadcert.families import (
     _edge_tables,
+    _scan_block_pairs,
     _scan_commuting_pairs,
     spec_from_json_dict,
     spec_to_json_dict,
@@ -90,6 +91,22 @@ class TestFindCommutingPairs:
         with pytest.raises(ValueError, match="all-0 or all-1"):
             commuting_pair_spec(fourier(4), np.ones(4, dtype=np.int8),
                                 mask_from_indices([1], 4))
+
+
+@pytest.mark.parametrize("bad", [[0, 1.9, 0, 1], [0, 0.5, 0, 1]])
+def test_spec_builders_reject_non_binary_masks(bad):
+    # checked on the values, not after a cast that would read 1.9 as 1
+    u = fourier(4)
+    odd = mask_from_indices([1, 3], 4)
+    even = mask_from_indices([0, 2], 4)
+    with pytest.raises(ValueError, match="0/1 mask"):
+        commuting_pair_spec(u, bad, odd)
+    with pytest.raises(ValueError, match="0/1 mask"):
+        commuting_pair_spec(u, odd, bad)
+    with pytest.raises(ValueError, match="0/1 mask"):
+        block_pair_spec(u, bad, even, odd, even)
+    with pytest.raises(ValueError, match="0/1 mask"):
+        block_pair_spec(u, odd, even, bad, even)
 
 
 class TestConstr1:
@@ -310,3 +327,11 @@ class TestSerialization:
     def test_unknown_tag(self):
         with pytest.raises(ValueError):
             spec_from_json_dict({"theorem": "constr9"}, fourier(4))
+
+
+def test_python_scan_matches_brute(rng):
+    # the raw candidates of the bitset block scan, before the exact filter
+    for u in (fourier(4), brute.random_biunitary(5, rng)):
+        _, zero, cross = _edge_tables(u, 1e-9)
+        got = sorted(map(tuple, _scan_block_pairs(zero, cross, u.shape[0]).tolist()))
+        assert got == brute.brute_block_pairs(u)

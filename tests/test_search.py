@@ -70,6 +70,18 @@ class TestObjective:
         for bad in (0, -5):
             with pytest.raises(ValueError, match="max_iters"):
                 zero_cfg(4, max_iters=bad)
+        for bad in (np.nan, np.inf, 0.0, -0.5):
+            with pytest.raises(ValueError, match="step0"):
+                zero_cfg(4, step0=bad)
+        for bad in (np.nan, np.inf, -1e-10):
+            with pytest.raises(ValueError, match="tol_obj"):
+                zero_cfg(4, tol_obj=bad)
+        zero_cfg(4, tol_obj=0.0)
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="order must be >= 1"):
+                SearchConfig(n=bad, p1=[], p2=[], p3=[], p4=[])
+        with pytest.raises(ValueError, match="0/1 mask"):
+            SearchConfig(n=4, p1=[0, 1.9, 0, 1], p2=[0] * 4, p3=[0] * 4, p4=[0] * 4)
 
 
 class TestGradient:
