@@ -10,6 +10,11 @@ Exit codes are uniform across subcommands:
 JSON goes to stdout, diagnostics to stderr. All JSON output is canonical:
 fixed key order, repr-style float formatting, no locale dependence.
 
+Each command takes only the policy flags its code reads: all four on certify
+and repro, --tol-entry and --tol-unitary on verify, pairs and family, and
+--tol-entry on every gen kind (for --format phase) plus --tol-unitary on gen
+qr-circulant. The gen kinds are subcommands, each with its own options.
+
 Matrix files:
     CART n      header, then n rows of n "re,im" tokens (17 significant
                 digits; write -> read -> write is byte-identical)
@@ -135,27 +140,30 @@ def read_matrix(path):
 
 # --- helpers --------------------------------------------------------------------
 
+# flag -> (NumericPolicy field, help); a command registers the flags its code
+# reads, and fields it does not register keep their defaults
+POLICY_FLAGS = {
+    "--tol-entry": ("tol_entry", "unimodularity tolerance"),
+    "--tol-unitary": ("tol_unitary", "unitarity / commutation tolerance"),
+    "--rank-cut": ("rank_rel_cut", "relative singular value cut for rank"),
+    "--cert-gap": ("cert_gap_min", "minimum spectral gap for a certified verdict"),
+}
+
+
 def _policy_from(args):
+    fields = {f: getattr(args, f) for f, _ in POLICY_FLAGS.values() if hasattr(args, f)}
     try:
-        return NumericPolicy(
-            tol_entry=args.tol_entry,
-            tol_unitary=args.tol_unitary,
-            rank_rel_cut=args.rank_cut,
-            cert_gap_min=args.cert_gap,
-        )
+        return NumericPolicy(**fields)
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
 
-def _add_policy_flags(p):
-    p.add_argument("--tol-entry", type=float, default=DEFAULT_POLICY.tol_entry,
-                   help="unimodularity tolerance")
-    p.add_argument("--tol-unitary", type=float, default=DEFAULT_POLICY.tol_unitary,
-                   help="unitarity / commutation tolerance")
-    p.add_argument("--rank-cut", type=float, default=DEFAULT_POLICY.rank_rel_cut,
-                   help="relative singular value cut for rank")
-    p.add_argument("--cert-gap", type=float, default=DEFAULT_POLICY.cert_gap_min,
-                   help="minimum spectral gap for a certified verdict")
+def _add_policy_flags(p, *flags):
+    """Register the given policy flags on p, all four when none are given."""
+    for flag in flags or POLICY_FLAGS:
+        field, text = POLICY_FLAGS[flag]
+        p.add_argument(flag, dest=field, type=float, default=getattr(DEFAULT_POLICY, field),
+                       help=text)
 
 
 def _emit(obj):
@@ -173,32 +181,31 @@ def _parse_index_list(tok, n):
 
 # --- subcommands ----------------------------------------------------------------
 
+def _gen_qr_circulant(args, policy):
+    a = "solve" if args.a == "solve" else complex_token(args.a)
+    return hadamard.qr_circulant(args.n, a, policy)
+
+
+def _gen_circulant(args, policy):
+    row = [complex_token(t) for t in _read_text(args.row).split()]
+    if not row:
+        raise CliError("empty circulant row file")
+    return hadamard.circulant(row)
+
+
+GEN_KINDS = {
+    "fourier": lambda args, policy: hadamard.fourier(args.n),
+    "petrescu": lambda args, policy: hadamard.petrescu(np.exp(1j * args.lambda_angle)),
+    "bjorck7": lambda args, policy: hadamard.bjorck7(),
+    "qr-circulant": _gen_qr_circulant,
+    "circulant": _gen_circulant,
+}
+
+
 def cmd_gen(args):
-    kind = args.kind
     policy = _policy_from(args)
     try:
-        if kind == "fourier":
-            if args.n is None:
-                raise CliError("gen fourier requires --n")
-            u = hadamard.fourier(args.n)
-        elif kind == "petrescu":
-            u = hadamard.petrescu(np.exp(1j * args.lambda_angle))
-        elif kind == "bjorck7":
-            u = hadamard.bjorck7()
-        elif kind == "qr-circulant":
-            if args.n is None:
-                raise CliError("gen qr-circulant requires --n")
-            a = "solve" if args.a == "solve" else complex_token(args.a)
-            u = hadamard.qr_circulant(args.n, a, policy)
-        elif kind == "circulant":
-            if args.row is None:
-                raise CliError("gen circulant requires --row FILE")
-            row = [complex_token(t) for t in _read_text(args.row).split()]
-            if not row:
-                raise CliError("empty circulant row file")
-            u = hadamard.circulant(row)
-        else:  # pragma: no cover - argparse restricts choices
-            raise CliError(f"unknown kind {kind!r}")
+        u = GEN_KINDS[args.kind](args, policy)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     sys.stdout.write(format_matrix(u, args.format, policy))
@@ -276,24 +283,11 @@ def cmd_search(args):
         raise CliError("--starts must be >= 1")
     try:
         masks = [_parse_index_list(p, args.n) for p in parts]
-        best = None
-        best_key = None
-        for k in range(args.starts):
-            cfg = search.SearchConfig(
-                n=args.n,
-                p1=masks[0],
-                p2=masks[1],
-                p3=masks[2],
-                p4=masks[3],
-                max_iters=args.max_iters,
-                step0=args.step0,
-                tol_obj=args.tol_obj,
-                rng_seed=args.seed + k,
-            )
-            res = search.local_search(cfg)
-            key = (res.objective, k)
-            if best_key is None or key < best_key:
-                best, best_key = res, key
+        configs = (search.SearchConfig(args.n, *masks, max_iters=args.max_iters,
+                                       step0=args.step0, tol_obj=args.tol_obj,
+                                       rng_seed=args.seed + k) for k in range(args.starts))
+        # min keeps the first of equal objectives, so the lowest start wins ties
+        best = min(map(search.local_search, configs), key=lambda res: res.objective)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     _emit(
@@ -314,7 +308,10 @@ def cmd_repro(args):
     policy = _policy_from(args)
     u = hadamard.bjorck7()
     a = spancert.span_matrix(u)
-    cert = spancert.certify_isolation(u, policy)
+    try:
+        cert = spancert.certify_isolation(u, policy)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     m = spancert.reduced_minor(a)
     _, logdet = np.linalg.slogdet(m)
     det_abs = float(np.exp(logdet))
@@ -353,22 +350,29 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a built-in matrix")
-    p.add_argument("kind", choices=["fourier", "petrescu", "bjorck7", "qr-circulant", "circulant"])
-    p.add_argument("--n", type=int, default=None, help="order")
-    p.add_argument("--lambda-angle", type=finite, default=0.0,
-                   help="family parameter as an angle in radians (petrescu)")
-    p.add_argument("--a", type=str, default="solve",
-                   help="'re,im' value or 'solve' (qr-circulant)")
-    p.add_argument("--row", type=str, default=None,
-                   help="file of 're,im' tokens for the first row (circulant)")
-    p.add_argument("--format", choices=["cart", "phase"], default="cart")
-    _add_policy_flags(p)
-    p.set_defaults(func=cmd_gen)
+    gen = sub.add_parser("gen", help="generate a built-in matrix")
+    gen.set_defaults(func=cmd_gen)
+    kinds = gen.add_subparsers(dest="kind", required=True)
+
+    def kind(name, *flags):
+        p = kinds.add_parser(name)
+        p.add_argument("--format", choices=["cart", "phase"], default="cart")
+        _add_policy_flags(p, "--tol-entry", *flags)
+        return p
+
+    kind("fourier").add_argument("--n", type=int, required=True, help="order")
+    kind("petrescu").add_argument("--lambda-angle", type=finite, default=0.0,
+                                  help="family parameter as an angle in radians")
+    kind("bjorck7")
+    p = kind("qr-circulant", "--tol-unitary")
+    p.add_argument("--n", type=int, required=True, help="order")
+    p.add_argument("--a", type=str, default="solve", help="'re,im' value or 'solve'")
+    kind("circulant").add_argument("--row", type=str, required=True,
+                                   help="file of 're,im' tokens for the first row")
 
     p = sub.add_parser("verify", help="biunitarity verdict as JSON")
     p.add_argument("file")
-    _add_policy_flags(p)
+    _add_policy_flags(p, "--tol-entry", "--tol-unitary")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("certify", help="span-rank isolation certificate as JSON")
@@ -379,7 +383,7 @@ def build_parser():
     p = sub.add_parser("pairs", help="exhaustive witness search")
     p.add_argument("file")
     p.add_argument("--mode", choices=["commuting", "block"], required=True)
-    _add_policy_flags(p)
+    _add_policy_flags(p, "--tol-entry", "--tol-unitary")
     p.set_defaults(func=cmd_pairs)
 
     p = sub.add_parser("family", help="emit one family member from a spec file")
@@ -390,7 +394,7 @@ def build_parser():
     p.add_argument("--index", type=int, default=0,
                    help="which spec when the file holds a list")
     p.add_argument("--format", choices=["cart", "phase"], default="cart")
-    _add_policy_flags(p)
+    _add_policy_flags(p, "--tol-entry", "--tol-unitary")
     p.set_defaults(func=cmd_family)
 
     p = sub.add_parser("search", help="phase-descent search for block quadruple bases")

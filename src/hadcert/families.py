@@ -275,6 +275,28 @@ def _in_index_order(found, n):
     return found[np.lexsort(rank[inv.reshape(found.shape)].T[::-1])]
 
 
+def _find(u, policy, cap, scan, residual, spec, name):
+    """The witnesses of one kind on u: scan candidates in index order, kept
+    when residual(u, *masks) <= policy.tol_unitary."""
+    u = as_matrix(u)
+    n = u.shape[0]
+    if n > cap:
+        raise ValueError(f"order {n} exceeds the exhaustive cap {cap}")
+    if n < 2:
+        return []
+    if not verify_biunitary(u, policy).is_biunitary:
+        raise ValueError(f"{name} requires a biunitary matrix")
+    tol = policy.tol_unitary
+    bits, zero, cross = _edge_tables(u, tol)
+    out = []
+    for key in _in_index_order(scan(zero, cross, n), n).tolist():
+        masks = bits[key]
+        res = residual(u, *masks)
+        if res <= tol:
+            out.append(spec(u, *masks, res))
+    return out
+
+
 def find_commuting_pairs(u, policy=DEFAULT_POLICY):
     """All non-trivial (p_mask, d_mask) with [diag(p), U diag(d) U*] = 0
     within policy.tol_unitary.
@@ -283,24 +305,8 @@ def find_commuting_pairs(u, policy=DEFAULT_POLICY):
     (both [~p, q] and [p, ~q] vanish together with [p, q]) by keeping the
     representative that excludes index 0. Only n <= 14 is accepted.
     """
-    u = as_matrix(u)
-    n = u.shape[0]
-    if n > COMMUTING_CAP:
-        raise ValueError(f"order {n} exceeds the exhaustive cap {COMMUTING_CAP}")
-    if n < 2:
-        return []
-    verd = verify_biunitary(u, policy)
-    if not verd.is_biunitary:
-        raise ValueError("find_commuting_pairs requires a biunitary matrix")
-    tol = policy.tol_unitary
-    bits, zero, cross = _edge_tables(u, tol)
-    out = []
-    for key in _in_index_order(_scan_commuting_pairs(zero, cross, n), n).tolist():
-        p, d = bits[key]
-        res = commuting_residual(u, p, d)
-        if res <= tol:
-            out.append(CommutingPairSpec(u, p, d, res))
-    return out
+    return _find(u, policy, COMMUTING_CAP, _scan_commuting_pairs, commuting_residual,
+                 CommutingPairSpec, "find_commuting_pairs")
 
 
 def find_block_pairs(u, policy=DEFAULT_POLICY):
@@ -310,24 +316,8 @@ def find_block_pairs(u, policy=DEFAULT_POLICY):
 
     Exhaustive over disjoint 0/1 mask pairs; only n <= 10 is accepted.
     """
-    u = as_matrix(u)
-    n = u.shape[0]
-    if n > BLOCK_CAP:
-        raise ValueError(f"order {n} exceeds the exhaustive cap {BLOCK_CAP}")
-    if n < 2:
-        return []
-    verd = verify_biunitary(u, policy)
-    if not verd.is_biunitary:
-        raise ValueError("find_block_pairs requires a biunitary matrix")
-    tol = policy.tol_unitary
-    bits, zero, cross = _edge_tables(u, tol)
-    out = []
-    for key in _in_index_order(_scan_block_pairs(zero, cross, n), n).tolist():
-        masks = bits[key]
-        res = block_residual(u, *masks)
-        if res <= tol:
-            out.append(BlockPairSpec(u, *masks, res))
-    return out
+    return _find(u, policy, BLOCK_CAP, _scan_block_pairs, block_residual,
+                 BlockPairSpec, "find_block_pairs")
 
 
 # --- family constructors ------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hadcert import bjorck7, fourier, petrescu
-from hadcert.cli import CliError, format_matrix, main, parse_matrix
+from hadcert.cli import POLICY_FLAGS, CliError, build_parser, format_matrix, main, parse_matrix
 
 
 def run_cli(args, stdin=None):
@@ -281,7 +281,30 @@ class TestRepro:
         assert "rank 36" in err
 
 
-class TestBadInput:
+class _CliRuns:
+    """Runs the CLI in a directory holding FILES, once per command for the
+    class: names in FILES are passed as their paths there."""
+
+    FILES = {}
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        """run(args) -> (code, stdout, stderr)."""
+        where = tmp_path_factory.mktemp("cli_runs")
+        for name, text in self.FILES.items():
+            (where / name).write_text(text)
+        runs = {}
+
+        def run(args):
+            key = tuple(args)
+            if key not in runs:
+                runs[key] = run_cli([str(where / a) if a in self.FILES else a for a in args])
+            return runs[key]
+
+        return run
+
+
+class TestBadInput(_CliRuns):
     FILES = {
         "nan.mat": "CART 2\nnan,0 0.5,0\n0.5,0 -0.5,0\n",
         "p.mat": format_matrix(petrescu(1.0)),
@@ -313,6 +336,15 @@ class TestBadInput:
         ["search", "--n", "4", "--masks", ";;;", "--tol-obj", "nan"],
         ["search", "--n", "0", "--masks", ";;;"],
         ["search", "--n", "-1", "--masks", ";;;"],
+        # a command takes only the policy flags and options its code reads
+        ["verify", "p.mat", "--rank-cut", "0.5"],
+        ["pairs", "p.mat", "--mode", "block", "--cert-gap", "1e300"],
+        ["family", "p.mat", "--spec", "specs.json", "--param", "1.0", "--rank-cut", "0.9"],
+        ["gen", "fourier", "--n", "5", "--rank-cut", "0.9"],
+        ["gen", "fourier", "--n", "5", "--tol-unitary", "1"],
+        ["gen", "bjorck7", "--n", "5"],
+        ["gen", "--n", "7", "fourier"],
+        ["repro", "--tol-unitary", "1e-300"],
     ]
     NEGATIVE_VERDICTS = [
         ["certify", "f4.mat"],
@@ -323,23 +355,6 @@ class TestBadInput:
         ["family", "p.mat", "--spec", "specs.json", "--param", "1.0"],
         ["gen", "circulant", "--row", "row.txt"],
     ]
-
-    @pytest.fixture(scope="class")
-    def run(self, tmp_path_factory):
-        """run(args) -> (code, stdout, stderr), once per command for the class:
-        both tests below read the same runs."""
-        where = tmp_path_factory.mktemp("bad_input")
-        for name, text in self.FILES.items():
-            (where / name).write_text(text)
-        runs = {}
-
-        def run(args):
-            key = tuple(args)
-            if key not in runs:
-                runs[key] = run_cli([str(where / a) if a in self.FILES else a for a in args])
-            return runs[key]
-
-        return run
 
     @pytest.mark.parametrize("args", USAGE_ERRORS)
     def test_usage_error_exit_2(self, args, run):
@@ -362,6 +377,72 @@ class TestBadInput:
             assert code == 0
         assert "Traceback" not in err
         assert "ResourceWarning" not in err
+
+
+class TestPolicyFlags(_CliRuns):
+    """Every policy flag a command accepts is read: some value of it changes
+    the exit code or stdout. Every other policy flag is a usage error."""
+
+    FILES = {
+        **TestBadInput.FILES,
+        "f7.mat": format_matrix(fourier(7)),
+        "near_flat_row.txt": "0.5,0 0.5,0 0.5,0 0.50000001,0\n",
+    }
+    COMMANDS = {
+        "verify": ["verify", "p.mat"],
+        "certify": ["certify", "f7.mat"],
+        "pairs": ["pairs", "p.mat", "--mode", "block"],
+        "family": ["family", "p.mat", "--spec", "specs.json", "--param", "1.0"],
+        "repro": ["repro"],
+        "gen fourier": ["gen", "fourier", "--n", "5", "--format", "phase"],
+        "gen petrescu": ["gen", "petrescu", "--format", "phase"],
+        "gen bjorck7": ["gen", "bjorck7", "--format", "phase"],
+        "gen qr-circulant": ["gen", "qr-circulant", "--n", "23"],
+        "gen circulant": ["gen", "circulant", "--row", "near_flat_row.txt", "--format", "phase"],
+    }
+    # bjorck7 has exactly flat moduli, so no positive --tol-entry changes what
+    # repro or gen bjorck7 print; the policy check still reads it
+    EFFECTS = [
+        ("verify", "--tol-entry", "1e-300"),
+        ("verify", "--tol-unitary", "1e-300"),
+        ("certify", "--tol-entry", "1e-300"),
+        ("certify", "--tol-unitary", "1e-300"),
+        ("certify", "--rank-cut", "0.5"),
+        ("certify", "--cert-gap", "1e300"),
+        ("pairs", "--tol-entry", "1e-300"),
+        ("pairs", "--tol-unitary", "1e-300"),
+        ("family", "--tol-entry", "1e-300"),
+        ("family", "--tol-unitary", "1e-300"),
+        ("repro", "--tol-entry", "0"),
+        ("repro", "--tol-unitary", "1e-300"),
+        ("repro", "--rank-cut", "0.5"),
+        ("repro", "--cert-gap", "1e300"),
+        ("gen fourier", "--tol-entry", "1e-300"),
+        ("gen petrescu", "--tol-entry", "1e-300"),
+        ("gen bjorck7", "--tol-entry", "0"),
+        ("gen qr-circulant", "--tol-entry", "1e-300"),
+        ("gen qr-circulant", "--tol-unitary", "1e-300"),
+        ("gen circulant", "--tol-entry", "1e-7"),
+    ]
+
+    @pytest.mark.parametrize("command, flag, value", EFFECTS)
+    def test_flag_changes_outcome(self, command, flag, value, run):
+        args = self.COMMANDS[command]
+        code, out, _ = run(args)
+        flagged = run(args + [flag, value])
+        assert (code, out) != flagged[:2]
+        assert "Traceback" not in flagged[2]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_only_read_flags_accepted(self, command):
+        read = {flag for c, flag, _ in self.EFFECTS if c == command}
+        for flag in POLICY_FLAGS:
+            argv = self.COMMANDS[command] + [flag, "1"]
+            if flag in read:
+                build_parser().parse_args(argv)
+            else:
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args(argv)
 
 
 def test_import_skips_scipy():

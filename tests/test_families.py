@@ -20,6 +20,7 @@ from hadcert import (
     verify_unitarity_identity,
 )
 from hadcert.families import (
+    BLOCK_CAP,
     _edge_tables,
     _scan_block_pairs,
     _scan_commuting_pairs,
@@ -335,3 +336,26 @@ def test_python_scan_matches_brute(rng):
         _, zero, cross = _edge_tables(u, 1e-9)
         got = sorted(map(tuple, _scan_block_pairs(zero, cross, u.shape[0]).tolist()))
         assert got == brute.brute_block_pairs(u)
+
+
+@pytest.mark.parametrize("u", [
+    fourier(4), fourier(6), fourier(8), petrescu(1.0),
+    np.kron(fourier(2), fourier(4)), fourier(7), fourier(12),
+], ids=["F4", "F6", "F8", "petrescu", "F2xF4", "F7", "F12"])
+def test_witnesses_span_left_kernel(u):
+    # certify_isolation and the finders share no code: each witness gives a
+    # left null vector of the span matrix, p x d for a commuting pair and
+    # p1 x d1 - p2 x d2 for a block quadruple, and with the 2n - 1 trivial
+    # vectors e_i x 1 and 1 x e_j they span the whole left kernel
+    n = u.shape[0]
+    vecs = [np.kron(s.p_mask, s.d_mask) for s in find_commuting_pairs(u)]
+    if n <= BLOCK_CAP:
+        vecs += [np.kron(s.p1_mask, s.d1_mask) - np.kron(s.p2_mask, s.d2_mask)
+                 for s in find_block_pairs(u)]
+    eye, ones = np.eye(n), np.ones(n)
+    vecs += [np.kron(e, ones) for e in eye] + [np.kron(ones, e) for e in eye]
+    x = np.array(vecs, dtype=np.float64)
+    a = span_matrix(u)
+    residual = np.linalg.norm(x @ a, axis=1) / np.linalg.norm(x, axis=1)
+    assert residual.max() <= 1e-13 * np.linalg.norm(a, 2)
+    assert np.linalg.matrix_rank(x) == n * n - certify_isolation(u).rank

@@ -168,6 +168,13 @@ class TestCertify:
             assert cert.rank == rank == brute.gcd_sum_rank(n), n
             assert cert.gap >= DEFAULT_POLICY.cert_gap_min, n
 
+    @pytest.mark.parametrize("n, rank", [(47, 2116), (48, 2064)])
+    def test_frozen_ranks_large(self, n, rank):
+        # the largest orders tracked; their gaps, ~1e13, still clear cert_gap_min
+        cert = certify_isolation(fourier(n))
+        assert cert.rank == rank == brute.gcd_sum_rank(n)
+        assert cert.gap >= DEFAULT_POLICY.cert_gap_min
+
     def test_rejects_non_biunitary(self):
         with pytest.raises(ValueError):
             certify_isolation(np.eye(5))
