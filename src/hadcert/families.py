@@ -84,21 +84,30 @@ def _conjugated(u, d_mask):
     return (u * d[None, :]) @ u.conj().T
 
 
+def _difference(p_mask):
+    """s = p[:, None] - p[None, :]: [diag(p), q] = s * q entrywise."""
+    p = np.asarray(p_mask, dtype=np.float64)
+    return p[:, None] - p[None, :]
+
+
+def _residual(s1, q1, s2=None, q2=None):
+    """||s1 * q1 - s2 * q2||_F, or ||s1 * q1||_F without the second term,
+    from mask differences s and conjugated projections q."""
+    k = s1 * q1
+    if s2 is not None:
+        k = k - s2 * q2
+    return frobenius_norm(k)
+
+
 def commuting_residual(u, p_mask, d_mask):
     """||[diag(p), U diag(d) U*]||_F."""
-    p = np.asarray(p_mask, dtype=np.float64)
-    q = _conjugated(u, d_mask)
-    return frobenius_norm((p[:, None] - p[None, :]) * q)
+    return _residual(_difference(p_mask), _conjugated(u, d_mask))
 
 
 def block_residual(u, p1_mask, p2_mask, d1_mask, d2_mask):
     """||[P1, U diag(d1) U*] - [P2, U diag(d2) U*]||_F."""
-    p1 = np.asarray(p1_mask, dtype=np.float64)
-    p2 = np.asarray(p2_mask, dtype=np.float64)
-    q1 = _conjugated(u, d1_mask)
-    q2 = _conjugated(u, d2_mask)
-    k = (p1[:, None] - p1[None, :]) * q1 - (p2[:, None] - p2[None, :]) * q2
-    return frobenius_norm(k)
+    return _residual(_difference(p1_mask), _conjugated(u, d1_mask),
+                     _difference(p2_mask), _conjugated(u, d2_mask))
 
 
 def _check_nontrivial(mask, name):
@@ -140,6 +149,13 @@ def block_pair_spec(u, p1_mask, p2_mask, d1_mask, d2_mask):
 # on the edges (i, j), i < j, that cross the mask of P and 0 on the others,
 # and Q[m] = U diag(m) U* is linear in m, so Q[d1] + Q[d2] = Q[d1 | d2] for
 # disjoint masks: every zero test is "these edges vanish in Q[m]".
+#
+# The scan candidates then pass an exact filter: the residual of the public
+# function, ||s1 * q1 - s2 * q2||_F or ||s * q||_F, kept if <= tol_unitary.
+# Thousands of candidates share at most 2^n masks, so _find builds each
+# projection q = U diag(d) U* and each difference s = p[:, None] - p[None, :]
+# once per distinct mask, lazily, and hands them to the same _residual as
+# block_residual and commuting_residual: the floats are theirs, bit for bit.
 
 def _bitsets(flags):
     """Rows of per-edge flags packed into rows of uint64 words."""
@@ -275,9 +291,10 @@ def _in_index_order(found, n):
     return found[np.lexsort(rank[inv.reshape(found.shape)].T[::-1])]
 
 
-def _find(u, policy, cap, scan, residual, spec, name):
-    """The witnesses of one kind on u: scan candidates in index order, kept
-    when residual(u, *masks) <= policy.tol_unitary."""
+def _find(u, policy, cap, scan, spec, name):
+    """The witnesses of one kind on u: scan candidates (p masks, then as
+    many d masks) in index order, kept when the residual of the matching
+    public function is <= policy.tol_unitary."""
     u = as_matrix(u)
     n = u.shape[0]
     if n > cap:
@@ -288,12 +305,25 @@ def _find(u, policy, cap, scan, residual, spec, name):
         raise ValueError(f"{name} requires a biunitary matrix")
     tol = policy.tol_unitary
     bits, zero, cross = _edge_tables(u, tol)
+    found = scan(zero, cross, n)
+    if not len(found):
+        return []
+    diffs, projs = {}, {}
+    half = found.shape[1] // 2
     out = []
-    for key in _in_index_order(scan(zero, cross, n), n).tolist():
-        masks = bits[key]
-        res = residual(u, *masks)
+    for key in _in_index_order(found, n).tolist():
+        terms = []
+        for p, d in zip(key[:half], key[half:]):
+            s = diffs.get(p)
+            if s is None:
+                s = diffs[p] = _difference(bits[p])
+            q = projs.get(d)
+            if q is None:
+                q = projs[d] = _conjugated(u, bits[d])
+            terms += (s, q)
+        res = _residual(*terms)
         if res <= tol:
-            out.append(spec(u, *masks, res))
+            out.append(spec(u, *bits[key], res))
     return out
 
 
@@ -305,8 +335,8 @@ def find_commuting_pairs(u, policy=DEFAULT_POLICY):
     (both [~p, q] and [p, ~q] vanish together with [p, q]) by keeping the
     representative that excludes index 0. Only n <= 14 is accepted.
     """
-    return _find(u, policy, COMMUTING_CAP, _scan_commuting_pairs, commuting_residual,
-                 CommutingPairSpec, "find_commuting_pairs")
+    return _find(u, policy, COMMUTING_CAP, _scan_commuting_pairs, CommutingPairSpec,
+                 "find_commuting_pairs")
 
 
 def find_block_pairs(u, policy=DEFAULT_POLICY):
@@ -316,8 +346,8 @@ def find_block_pairs(u, policy=DEFAULT_POLICY):
 
     Exhaustive over disjoint 0/1 mask pairs; only n <= 10 is accepted.
     """
-    return _find(u, policy, BLOCK_CAP, _scan_block_pairs, block_residual,
-                 BlockPairSpec, "find_block_pairs")
+    return _find(u, policy, BLOCK_CAP, _scan_block_pairs, BlockPairSpec,
+                 "find_block_pairs")
 
 
 # --- family constructors ------------------------------------------------------

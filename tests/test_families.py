@@ -24,6 +24,8 @@ from hadcert.families import (
     _edge_tables,
     _scan_block_pairs,
     _scan_commuting_pairs,
+    block_residual,
+    commuting_residual,
     spec_from_json_dict,
     spec_to_json_dict,
 )
@@ -79,6 +81,14 @@ class TestFindCommutingPairs:
             pairs = find_commuting_pairs(fourier(n))
             composite = any(n % k == 0 for k in range(2, n))
             assert bool(pairs) == composite, n
+
+    @pytest.mark.parametrize("n", [12, 14])
+    def test_residual_is_the_public_one(self, n, rng):
+        u = brute.random_equivalence_move(fourier(n), rng)
+        specs = find_commuting_pairs(u)
+        assert specs
+        for s in specs:
+            assert s.residual == commuting_residual(u, s.p_mask, s.d_mask)
 
     def test_cap(self):
         with pytest.raises(ValueError, match="cap"):
@@ -182,6 +192,37 @@ class TestFindBlockPairs:
     ], ids=["F8", "F9", "F2xF4", "F3xF3", "petrescu1", "F10"])
     def test_counts(self, make, count):
         assert len(find_block_pairs(make())) == count
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: fourier(8),
+        lambda rng: brute.random_equivalence_move(fourier(9), rng),
+        lambda rng: np.kron(fourier(2), fourier(4)),
+        lambda rng: petrescu(1.0),
+        lambda rng: petrescu(np.exp(0.9j)),
+    ], ids=["F8", "F9scrambled", "F2xF4", "petrescu1", "petrescu0.9i"])
+    def test_residual_is_the_public_one(self, make, rng):
+        # the finder filters from projections it builds once per mask; each
+        # residual it returns must still be block_residual's, bit for bit
+        u = make(rng)
+        specs = find_block_pairs(u)
+        assert specs
+        for s in specs:
+            assert s.residual == block_residual(u, s.p1_mask, s.p2_mask, s.d1_mask, s.d2_mask)
+
+    def test_exact_filter_rejects(self):
+        # at lambda = exp(2.5e-9 i) six of the nine scan candidates miss
+        # the tolerance by a hair (residual ~1.5e-9 > 1e-9); the three left
+        # are the quadruples of petrescu(exp(1e-6 i))
+        u = petrescu(np.exp(2.5e-9j))
+        _, zero, cross = _edge_tables(u, 1e-9)
+        assert len(_scan_block_pairs(zero, cross, 7)) == 9
+        got = [tuple(mask_indices(m) for m in (s.p1_mask, s.p2_mask, s.d1_mask, s.d2_mask))
+               for s in find_block_pairs(u)]
+        assert got == [
+            ([0, 1], [2, 3], [0, 1], [2, 3]),
+            ([0, 1], [4, 5, 6], [4, 5, 6], [2, 3]),
+            ([2, 3], [4, 5, 6], [4, 5, 6], [0, 1]),
+        ]
 
     def test_disjointness_and_nontriviality(self, petrescu_specs):
         for s in petrescu_specs:
