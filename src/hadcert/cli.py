@@ -350,9 +350,10 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="generate a built-in matrix")
+    gen = sub.add_parser("gen", help="generate a built-in matrix",
+                         usage="%(prog)s kind [options]: the options follow the kind")
     gen.set_defaults(func=cmd_gen)
-    kinds = gen.add_subparsers(dest="kind", required=True)
+    kinds = gen.add_subparsers(dest="kind", required=True, prog=gen.prog)
 
     def kind(name, *flags):
         p = kinds.add_parser(name)

@@ -80,34 +80,37 @@ class BlockPairSpec:
 
 
 def _conjugated(u, d_mask):
+    """q = U diag(d) U* for each mask of a (..., n) stack."""
     d = np.asarray(d_mask, dtype=np.float64)
-    return (u * d[None, :]) @ u.conj().T
+    return (u * d[..., None, :]) @ u.conj().T
 
 
 def _difference(p_mask):
-    """s = p[:, None] - p[None, :]: [diag(p), q] = s * q entrywise."""
+    """s = p[:, None] - p[None, :] for each mask p of a stack: [diag(p), q] = s * q."""
     p = np.asarray(p_mask, dtype=np.float64)
-    return p[:, None] - p[None, :]
+    return p[..., :, None] - p[..., None, :]
 
 
-def _residual(s1, q1, s2=None, q2=None):
-    """||s1 * q1 - s2 * q2||_F, or ||s1 * q1||_F without the second term,
-    from mask differences s and conjugated projections q."""
-    k = s1 * q1
-    if s2 is not None:
-        k = k - s2 * q2
-    return frobenius_norm(k)
+def _residuals(s, q):
+    """||s1 * q1 - s2 * q2||_F, or ||s1 * q1||_F, per row of (C, terms, n, n)
+    stacks. As np.linalg.norm: sqrt(re.re + im.im) on the strided views, by a
+    (C, 1, L) @ (C, L, 1) matmul that calls the same BLAS dot: the same floats."""
+    k = s[:, 0] * q[:, 0]
+    if s.shape[1] > 1:
+        k -= s[:, 1] * q[:, 1]
+    re, im = (x.reshape(len(k), 1, -1) for x in (k.real, k.imag))
+    return np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)).ravel()
 
 
 def commuting_residual(u, p_mask, d_mask):
     """||[diag(p), U diag(d) U*]||_F."""
-    return _residual(_difference(p_mask), _conjugated(u, d_mask))
+    return float(_residuals(_difference([[p_mask]]), _conjugated(u, [[d_mask]]))[0])
 
 
 def block_residual(u, p1_mask, p2_mask, d1_mask, d2_mask):
     """||[P1, U diag(d1) U*] - [P2, U diag(d2) U*]||_F."""
-    return _residual(_difference(p1_mask), _conjugated(u, d1_mask),
-                     _difference(p2_mask), _conjugated(u, d2_mask))
+    return float(_residuals(_difference([[p1_mask, p2_mask]]),
+                            _conjugated(u, [[d1_mask, d2_mask]]))[0])
 
 
 def _check_nontrivial(mask, name):
@@ -151,11 +154,10 @@ def block_pair_spec(u, p1_mask, p2_mask, d1_mask, d2_mask):
 # disjoint masks: every zero test is "these edges vanish in Q[m]".
 #
 # The scan candidates then pass an exact filter: the residual of the public
-# function, ||s1 * q1 - s2 * q2||_F or ||s * q||_F, kept if <= tol_unitary.
-# Thousands of candidates share at most 2^n masks, so _find builds each
-# projection q = U diag(d) U* and each difference s = p[:, None] - p[None, :]
-# once per distinct mask, lazily, and hands them to the same _residual as
-# block_residual and commuting_residual: the floats are theirs, bit for bit.
+# function, kept if <= tol_unitary. _find stacks q = U diag(d) U* and
+# s = p[:, None] - p[None, :] once over the distinct masks, then hands chunks
+# of candidates to _residuals, the kernel of block_residual and
+# commuting_residual: the floats are theirs, bit for bit.
 
 def _bitsets(flags):
     """Rows of per-edge flags packed into rows of uint64 words."""
@@ -282,13 +284,14 @@ def _scan_block_pairs(zero, cross, n):
 
 
 def _in_index_order(found, n):
-    """Rows of a (K, c) array of bitmasks sorted by the index lists of their
-    masks, column by column: the order the finders return."""
+    """The distinct bitmasks of a (K, c) array, and its rows as indices into
+    them sorted by the masks' index lists, column by column: finder order."""
     values, inv = np.unique(found, return_inverse=True)
     indices = [[k for k in range(n) if (m >> k) & 1] for m in values.tolist()]
     rank = np.empty(len(values), dtype=np.intp)
     rank[sorted(range(len(values)), key=indices.__getitem__)] = np.arange(len(values))
-    return found[np.lexsort(rank[inv.reshape(found.shape)].T[::-1])]
+    keys = inv.reshape(found.shape)
+    return values, keys[np.lexsort(rank[keys].T[::-1])]
 
 
 def _find(u, policy, cap, scan, spec, name):
@@ -308,22 +311,19 @@ def _find(u, policy, cap, scan, spec, name):
     found = scan(zero, cross, n)
     if not len(found):
         return []
-    diffs, projs = {}, {}
-    half = found.shape[1] // 2
+    values, keys = _in_index_order(found, n)
+    masks = bits[values]
+    diffs, projs = _difference(masks), _conjugated(u, masks)
+    half = keys.shape[1] // 2
+    step = (1 << 15) // (n * n)
     out = []
-    for key in _in_index_order(found, n).tolist():
-        terms = []
-        for p, d in zip(key[:half], key[half:]):
-            s = diffs.get(p)
-            if s is None:
-                s = diffs[p] = _difference(bits[p])
-            q = projs.get(d)
-            if q is None:
-                q = projs[d] = _conjugated(u, bits[d])
-            terms += (s, q)
-        res = _residual(*terms)
-        if res <= tol:
-            out.append(spec(u, *bits[key], res))
+    for lo in range(0, len(keys), step):
+        chunk = keys[lo:lo + step]
+        res = _residuals(diffs[chunk[:, :half]], projs[chunk[:, half:]])
+        kept = res <= tol
+        # the spec fields column by column: each mask, then the residual
+        fields = [list(m) for m in masks[chunk[kept]].transpose(1, 0, 2)]
+        out += [spec(u, *f) for f in zip(*fields, res[kept].tolist())]
     return out
 
 

@@ -364,6 +364,18 @@ class TestBadInput(_CliRuns):
         assert "error:" in err
         assert "Traceback" not in err
 
+    # usage errors whose message must name the actual cause
+    CAUSES = [
+        (["gen", "--n", "7", "fourier"], "the options follow the kind"),
+        (["gen", "bjorck7", "--n", "5"], "unrecognized arguments: --n 5"),
+    ]
+
+    @pytest.mark.parametrize("args, cause", CAUSES, ids=["gen-option-before-kind", "gen-foreign-option"])
+    def test_usage_error_names_cause(self, args, cause, run):
+        code, out, err = run(args)
+        assert (code, out) == (2, "")
+        assert cause in err
+
     @pytest.mark.parametrize("args", USAGE_ERRORS + NEGATIVE_VERDICTS + POSITIVE_VERDICTS)
     def test_exit_contract(self, args, run):
         # 1 is the negative-verdict code, so it must come with a verdict

@@ -1,8 +1,13 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import brute
 from hadcert import (
+    DEFAULT_POLICY,
     bjorck7,
     block_pair_spec,
     certify_isolation,
@@ -22,6 +27,8 @@ from hadcert import (
 from hadcert.families import (
     BLOCK_CAP,
     _edge_tables,
+    _in_index_order,
+    _residuals,
     _scan_block_pairs,
     _scan_commuting_pairs,
     block_residual,
@@ -377,6 +384,75 @@ def test_python_scan_matches_brute(rng):
         _, zero, cross = _edge_tables(u, 1e-9)
         got = sorted(map(tuple, _scan_block_pairs(zero, cross, u.shape[0]).tolist()))
         assert got == brute.brute_block_pairs(u)
+
+
+def _public_loop(u, scan, residual):
+    """The finder's answer by a plain loop of the public residual over the
+    ordered scan candidates: the kept (mask index lists, residual.hex())
+    rows, the candidate count and the positions of the rejected ones."""
+    tol = DEFAULT_POLICY.tol_unitary
+    n = u.shape[0]
+    bits, zero, cross = _edge_tables(u, tol)
+    values, keys = _in_index_order(scan(zero, cross, n), n)
+    kept, rejected = [], []
+    for i, key in enumerate(keys.tolist()):
+        masks = bits[values[key]]
+        res = residual(u, *masks)
+        if res <= tol:
+            kept.append((*map(mask_indices, masks), res.hex()))
+        else:
+            rejected.append(i)
+    return kept, len(keys), rejected
+
+
+def _rows(specs):
+    return [(*(mask_indices(getattr(s, f)) for f in s.__dataclass_fields__ if f.endswith("mask")),
+             s.residual.hex()) for s in specs]
+
+
+@pytest.mark.parametrize("make, counts", [
+    # a 2e-9 step along a family of F2xF4 or F2xF2xF2 breaks some of its
+    # witnesses by about the tolerance: (block candidates, rejected,
+    # commuting candidates, rejected)
+    (lambda: constr2_family(find_block_pairs(np.kron(fourier(2), fourier(4)))[0],
+                            np.exp(2e-9j)), (3056, 374, 37, 6)),
+    (lambda: constr1_family(find_commuting_pairs(
+        np.kron(np.kron(fourier(2), fourier(2)), fourier(2)))[0], 2e-9), (6832, 1436, 77, 12)),
+], ids=["F2xF4-constr2", "F2xF2xF2-constr1"])
+def test_exact_filter_is_the_public_loop(make, counts):
+    # the finders filter stacked chunks of candidates, 512 to a chunk at
+    # n = 8: the block candidates fill 6 or 14 chunks and each chunk has
+    # rejections; the commuting candidates fit in one chunk
+    u = make()
+    block, n_block, rej_block = _public_loop(u, _scan_block_pairs, block_residual)
+    pairs, n_pairs, rej_pairs = _public_loop(u, _scan_commuting_pairs, commuting_residual)
+    assert (n_block, len(rej_block), n_pairs, len(rej_pairs)) == counts
+    assert {i // 512 for i in rej_block} == set(range(-(-n_block // 512)))
+    assert _rows(find_block_pairs(u)) == block
+    assert _rows(find_commuting_pairs(u)) == pairs
+
+
+@pytest.mark.parametrize("n", [2, 9, 10, 14])
+def test_stacked_norm_is_linalg_norm(n, rng):
+    # _residuals takes its norms by one stacked matmul; each must be the
+    # np.linalg.norm of its slice, bit for bit
+    c = 300
+    scale = 10.0 ** rng.uniform(-20, 5, (c, 1, 1, 1))
+    q = (rng.standard_normal((c, 2, n, n)) + 1j * rng.standard_normal((c, 2, n, n))) * scale
+    s = rng.standard_normal((c, 2, n, n))
+    assert _residuals(np.ones((c, 1, n, n)), q[:, :1]).tolist() == [
+        np.linalg.norm(x) for x in q[:, 0]]
+    assert _residuals(s, q).tolist() == [
+        np.linalg.norm(x[0] * y[0] - x[1] * y[1]) for x, y in zip(s, q)]
+
+
+def test_benchmark_oracles_reject_corrupted_witnesses():
+    # perfbench's witness oracles must keep rejecting every dropped or
+    # invented witness and every corrupted family member
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py", "--workload", "witness"],
+                          cwd=root, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 @pytest.mark.parametrize("u", [
