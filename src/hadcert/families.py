@@ -53,6 +53,10 @@ __all__ = [
 
 COMMUTING_CAP = 14
 BLOCK_CAP = 10
+# scan candidates of one subset test, far above the 6,832 of the largest
+# real input seen (a perturbed F2xF2xF2); a loose tol_unitary can make every
+# edge vanish and ask for billions
+CANDIDATE_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -148,10 +152,11 @@ def block_pair_spec(u, p1_mask, p2_mask, d1_mask, d2_mask):
 
 # --- exhaustive finders -------------------------------------------------------
 #
-# Both finders scan with subset tests on per-mask edge bitsets. [P, Q] is +-Q
-# on the edges (i, j), i < j, that cross the mask of P and 0 on the others,
-# and Q[m] = U diag(m) U* is linear in m, so Q[d1] + Q[d2] = Q[d1 | d2] for
-# disjoint masks: every zero test is "these edges vanish in Q[m]".
+# Both finders scan with subset tests on edge bitsets, tabulated only for the
+# masks each scan reads and tested a word at a time on the pairs still left.
+# [P, Q] is +-Q on the edges (i, j), i < j, that cross the mask of P and 0 on
+# the others, and Q[m] = U diag(m) U* is linear in m, so Q[d1] + Q[d2] =
+# Q[d1 | d2] for disjoint masks: every zero test is "these edges vanish in Q[m]".
 #
 # The scan candidates then pass an exact filter: the residual of the public
 # function, kept if <= tol_unitary. _find stacks q = U diag(d) U* and
@@ -167,19 +172,18 @@ def _bitsets(flags):
     return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
 
 
-def _edge_tables(u, tol):
-    """Per-mask tables over the edges (i, j), i < j:
+def _edge_tables(u, tol, masks):
+    """Tables over the edges (i, j), i < j, for the masks a scan reads:
 
-    bits[m]  = the 0/1 vector of mask m
-    zero[m]  = bitset of the edges e with |Q[m]_e|^2 <= 2 tol^2
-    cross[m] = bitset of the edges that cross mask m
+    zero[r]  = bitset of the edges e with |Q[masks[r]]_e|^2 <= 2 tol^2
+    cross[r] = bitset of the edges that cross masks[r]
 
     A bitset is a row of uint64 words; n = 14 has 91 edges.
     """
     n = u.shape[0]
     ei, ej = np.triu_indices(n, k=1)
     n_edges = len(ei)
-    bits = ((np.arange(1 << n)[:, None] >> np.arange(n)[None, :]) & 1).astype(np.int8)
+    bits = ((masks[:, None] >> np.arange(n)[None, :]) & 1).astype(np.int8)
     rows = bits.astype(np.float64)
     # Q[m] on edge e is the sum of u_ik conj(u_jk) over k in m: rows[m] @ terms
     # gives its real parts, then its imaginary parts
@@ -197,35 +201,40 @@ def _edge_tables(u, tol):
         q *= q
         np.less_equal(q[:, :n_edges] + q[:, n_edges:], 2.0 * tol * tol,
                       out=flags[lo:lo + 2048])
-    zero = _bitsets(flags)
-    cross = _bitsets(bits[:, ei] != bits[:, ej])
-    return bits, zero, cross
+    return _bitsets(flags), _bitsets(bits[:, ei] != bits[:, ej])
 
 
 def _covering(sets, rows):
     """Index pairs (i, r) with bitset sets[i] a subset of bitset rows[r].
 
-    The subset test runs once per distinct row, over chunks of sets.
+    The subset test runs once per distinct row, over chunks of sets: word 0
+    on every pair of a chunk, each later word on the pairs still left. Over
+    CANDIDATE_CAP pairs raise ValueError before any is expanded.
     """
     if not len(sets) or not len(rows):
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
     order = np.lexsort(rows.T)
     rows = rows[order]
     first = np.flatnonzero(np.append(True, np.any(rows[1:] != rows[:-1], axis=1)))
+    size = np.diff(np.append(first, len(rows)))
     holes = ~rows[first]
     step = max(1, (1 << 20) // holes.size)
-    found_i, found_k = [], []
+    found_i, found_k, total = [], [], 0
     for lo in range(0, len(sets), step):
         chunk = sets[lo:lo + step]
-        missed = chunk[:, None, 0] & holes[None, :, 0]
+        i, k = np.nonzero((chunk[:, None, 0] & holes[None, :, 0]) == 0)
         for w in range(1, holes.shape[1]):
-            missed |= chunk[:, None, w] & holes[None, :, w]
-        i, k = np.nonzero(missed == 0)
+            kept = (chunk[i, w] & holes[k, w]) == 0
+            i, k = i[kept], k[kept]
+        total += int(size[k].sum())
+        if total > CANDIDATE_CAP:
+            raise ValueError(f"the mask scan found more than {CANDIDATE_CAP} candidates; "
+                             "a smaller tol_unitary admits fewer")
         found_i.append(i + lo)
         found_k.append(k)
     i, k = np.concatenate(found_i), np.concatenate(found_k)
     # expand each hit on a distinct row to every row equal to it
-    size = np.diff(np.append(first, len(rows)))[k]
+    size = size[k]
     start = first[k] - (np.cumsum(size) - size)
     return np.repeat(i, size), order[np.repeat(start, size) + np.arange(size.sum())]
 
@@ -238,27 +247,29 @@ def _disjoint_pairs(n):
     return a, b
 
 
-def _scan_commuting_pairs(zero, cross, n):
+def _scan_commuting_pairs(u, tol):
     """Candidate pairs (p, d) of canonical bitmasks (bit 0 clear, not 0) as a
     (K, 2) array: [diag(p), Q[d]] = 0 iff Q[d] vanishes on every edge
-    crossing p."""
-    canon = np.arange(2, (1 << n) - 1, 2)
-    ds = canon[zero[canon].any(axis=1)]
-    i, k = _covering(cross[canon], zero[ds])
-    return np.stack([canon[i], ds[k]], axis=1)
+    crossing p. Only the canonical masks are tabulated."""
+    canon = np.arange(2, (1 << len(u)) - 1, 2)
+    zero, cross = _edge_tables(u, tol, canon)
+    ds = zero.any(axis=1)
+    i, k = _covering(cross, zero[ds])
+    return np.stack([canon[i], canon[ds][k]], axis=1)
 
 
-def _scan_block_pairs(zero, cross, n):
+def _scan_block_pairs(u, tol):
     """Candidate quadruples (p1, p2, d1, d2) of bitmasks as a (K, 4) array:
     p1 < p2, all four masks proper, each side disjoint, (p2, d2) never
     (~p1, ~d1), and [P1, Q[d1]] - [P2, Q[d2]] zero on every edge by the gate.
 
     With r = ~(p1 | p2), that difference is Q[d1] on the edges between p1
     and r, Q[d2] on those between p2 and r, and Q[d1 | d2] on those between
-    p1 and p2.
+    p1 and p2. Every mask is tabulated: d1, d2 and p1 range over all of them.
     """
-    full = (1 << n) - 1
-    a, b = _disjoint_pairs(n)
+    full = (1 << len(u)) - 1
+    zero, cross = _edge_tables(u, tol, np.arange(full + 1))
+    a, b = _disjoint_pairs(len(u))
     ps = (a > 0) & (a < b)
     ds = (a > 0) & (b > 0)
     d1, d2 = a[ds], b[ds]
@@ -307,12 +318,11 @@ def _find(u, policy, cap, scan, spec, name):
     if not verify_biunitary(u, policy).is_biunitary:
         raise ValueError(f"{name} requires a biunitary matrix")
     tol = policy.tol_unitary
-    bits, zero, cross = _edge_tables(u, tol)
-    found = scan(zero, cross, n)
+    found = scan(u, tol)
     if not len(found):
         return []
     values, keys = _in_index_order(found, n)
-    masks = bits[values]
+    masks = ((values[:, None] >> np.arange(n)[None, :]) & 1).astype(np.int8)
     diffs, projs = _difference(masks), _conjugated(u, masks)
     half = keys.shape[1] // 2
     step = (1 << 15) // (n * n)

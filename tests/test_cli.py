@@ -8,6 +8,7 @@ import pytest
 
 from hadcert import bjorck7, fourier, petrescu
 from hadcert.cli import POLICY_FLAGS, CliError, build_parser, format_matrix, main, parse_matrix
+from hadcert.families import CANDIDATE_CAP
 
 
 def run_cli(args, stdin=None):
@@ -309,6 +310,8 @@ class TestBadInput(_CliRuns):
         "nan.mat": "CART 2\nnan,0 0.5,0\n0.5,0 -0.5,0\n",
         "p.mat": format_matrix(petrescu(1.0)),
         "f4.mat": format_matrix(fourier(4)),
+        "f10.mat": format_matrix(fourier(10)),
+        "f14.mat": format_matrix(fourier(14)),
         "specs.json": json.dumps([{
             "theorem": "constr2", "base": "p.mat", "p1": [0, 1], "p2": [2, 3],
             "d1": [0, 1], "d2": [2, 3], "residual": 0.0,
@@ -345,6 +348,9 @@ class TestBadInput(_CliRuns):
         ["gen", "bjorck7", "--n", "5"],
         ["gen", "--n", "7", "fourier"],
         ["repro", "--tol-unitary", "1e-300"],
+        # a loose tolerance makes every edge vanish: the scan candidates are capped
+        ["pairs", "f10.mat", "--mode", "block", "--tol-unitary", "0.5"],
+        ["pairs", "f14.mat", "--mode", "commuting", "--tol-unitary", "0.5"],
     ]
     NEGATIVE_VERDICTS = [
         ["certify", "f4.mat"],
@@ -368,9 +374,14 @@ class TestBadInput(_CliRuns):
     CAUSES = [
         (["gen", "--n", "7", "fourier"], "the options follow the kind"),
         (["gen", "bjorck7", "--n", "5"], "unrecognized arguments: --n 5"),
+        (["pairs", "f10.mat", "--mode", "block", "--tol-unitary", "0.5"],
+         f"more than {CANDIDATE_CAP} candidates"),
+        (["pairs", "f14.mat", "--mode", "commuting", "--tol-unitary", "0.5"],
+         f"more than {CANDIDATE_CAP} candidates"),
     ]
 
-    @pytest.mark.parametrize("args, cause", CAUSES, ids=["gen-option-before-kind", "gen-foreign-option"])
+    @pytest.mark.parametrize("args, cause", CAUSES, ids=[
+        "gen-option-before-kind", "gen-foreign-option", "pairs-block-capped", "pairs-commuting-capped"])
     def test_usage_error_names_cause(self, args, cause, run):
         code, out, err = run(args)
         assert (code, out) == (2, "")

@@ -1,5 +1,7 @@
+import hashlib
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +26,10 @@ from hadcert import (
     verify_biunitary,
     verify_unitarity_identity,
 )
+from hadcert import families
 from hadcert.families import (
     BLOCK_CAP,
+    _covering,
     _edge_tables,
     _in_index_order,
     _residuals,
@@ -78,8 +82,7 @@ class TestFindCommutingPairs:
         # 66 and 91 edges take two words per bitset. On a Fourier matrix the
         # scan alone is exact, so a lost edge shows as an extra candidate.
         u = fourier(n)
-        _, zero, cross = _edge_tables(u, 1e-9)
-        assert len(_scan_commuting_pairs(zero, cross, n)) == count
+        assert len(_scan_commuting_pairs(u, 1e-9)) == count
         assert len(find_commuting_pairs(u)) == count
         assert brute.support_graph_commuting_count(u) == count
 
@@ -221,8 +224,7 @@ class TestFindBlockPairs:
         # the tolerance by a hair (residual ~1.5e-9 > 1e-9); the three left
         # are the quadruples of petrescu(exp(1e-6 i))
         u = petrescu(np.exp(2.5e-9j))
-        _, zero, cross = _edge_tables(u, 1e-9)
-        assert len(_scan_block_pairs(zero, cross, 7)) == 9
+        assert len(_scan_block_pairs(u, 1e-9)) == 9
         got = [tuple(mask_indices(m) for m in (s.p1_mask, s.p2_mask, s.d1_mask, s.d2_mask))
                for s in find_block_pairs(u)]
         assert got == [
@@ -381,8 +383,7 @@ class TestSerialization:
 def test_python_scan_matches_brute(rng):
     # the raw candidates of the bitset block scan, before the exact filter
     for u in (fourier(4), brute.random_biunitary(5, rng)):
-        _, zero, cross = _edge_tables(u, 1e-9)
-        got = sorted(map(tuple, _scan_block_pairs(zero, cross, u.shape[0]).tolist()))
+        got = sorted(map(tuple, _scan_block_pairs(u, 1e-9).tolist()))
         assert got == brute.brute_block_pairs(u)
 
 
@@ -392,11 +393,10 @@ def _public_loop(u, scan, residual):
     rows, the candidate count and the positions of the rejected ones."""
     tol = DEFAULT_POLICY.tol_unitary
     n = u.shape[0]
-    bits, zero, cross = _edge_tables(u, tol)
-    values, keys = _in_index_order(scan(zero, cross, n), n)
+    values, keys = _in_index_order(scan(u, tol), n)
     kept, rejected = [], []
     for i, key in enumerate(keys.tolist()):
-        masks = bits[values[key]]
+        masks = [brute.bits(m, n) for m in values[key]]
         res = residual(u, *masks)
         if res <= tol:
             kept.append((*map(mask_indices, masks), res.hex()))
@@ -476,3 +476,150 @@ def test_witnesses_span_left_kernel(u):
     residual = np.linalg.norm(x @ a, axis=1) / np.linalg.norm(x, axis=1)
     assert residual.max() <= 1e-13 * np.linalg.norm(a, 2)
     assert np.linalg.matrix_rank(x) == n * n - certify_isolation(u).rank
+
+
+def _brute_covering(sets, rows):
+    """Every (i, r) with sets[i] & ~rows[r] zero in every word, by a loop."""
+    return sorted((i, r) for i in range(len(sets)) for r in range(len(rows))
+                  if not np.any(sets[i] & ~rows[r]))
+
+
+@pytest.mark.parametrize("words", [1, 2, 3])
+def test_covering_is_the_brute_subset_test(words, rng):
+    # rows drawn from a small pool repeat, and rows that agree on word 0
+    # differ on later words; sets are sparse subsets of rows with one word
+    # (for words > 1 a later one) spoiled by a bit outside the row, so many
+    # pass word 0 and fail later
+    def draw(shape, density):
+        flags = rng.random((*shape, 64)) < density
+        return np.packbits(flags, axis=-1, bitorder="little").view(np.uint64).reshape(shape)
+
+    pool = draw((12, words), 0.85)
+    pool[6:, 0] = pool[:6, 0]
+    rows = pool[rng.integers(0, len(pool), 40)]
+    sets = rows[rng.integers(0, len(rows), 150)] & draw((150, words), 0.1)
+    spoil = rng.random(150) < 0.5
+    w = rng.integers(1 if words > 1 else 0, words, 150)
+    sets[spoil, w[spoil]] |= np.uint64(1) << rng.integers(0, 64, spoil.sum()).astype(np.uint64)
+    sets = np.concatenate([sets, draw((50, words), 0.05)])
+    i, r = _covering(sets, rows)
+    got = sorted(zip(i.tolist(), r.tolist()))
+    want = _brute_covering(sets, rows)
+    assert got == want and want
+    assert len(set(map(bytes, rows))) < len(rows)
+    if words > 1:
+        assert sum(not (s[0] & ~row[0]) for s in sets for row in rows) > len(want)
+
+
+def test_covering_cap(monkeypatch):
+    # full rows cover every set: 3 sets x 5 rows (one distinct) are 15 pairs
+    sets = np.arange(3, dtype=np.uint64).reshape(3, 1)
+    rows = np.full((5, 1), ~np.uint64(0))
+    monkeypatch.setattr(families, "CANDIDATE_CAP", 15)
+    assert len(_covering(sets, rows)[0]) == 15
+    monkeypatch.setattr(families, "CANDIDATE_CAP", 14)
+    with pytest.raises(ValueError, match="more than 14 candidates"):
+        _covering(sets, rows)
+
+
+@pytest.mark.parametrize("n", [12, 14])
+@pytest.mark.parametrize("scrambled", [False, True], ids=["plain", "scrambled"])
+def test_commuting_tables_are_rows_of_the_full_table(n, scrambled, monkeypatch, rng):
+    # the commuting finder tabulates only the canonical masks; each of its
+    # rows must be the matching row of the table over every mask, bit for bit
+    u = brute.random_equivalence_move(fourier(n), rng) if scrambled else fourier(n)
+    calls = []
+
+    def recording(u, tol, masks):
+        calls.append((masks, *_edge_tables(u, tol, masks)))
+        return calls[-1][1:]
+
+    monkeypatch.setattr(families, "_edge_tables", recording)
+    assert len(find_commuting_pairs(u)) == {12: 97, 14: 126}[n]
+    (masks, zero, cross), = calls
+    assert masks.tolist() == list(range(2, (1 << n) - 1, 2))
+    full_zero, full_cross = _edge_tables(u, DEFAULT_POLICY.tol_unitary, np.arange(1 << n))
+    assert np.array_equal(zero, full_zero[masks])
+    assert np.array_equal(cross, full_cross[masks])
+
+
+# The finders' output on a fixed corpus, frozen: per input the witness count
+# and a digest of the mask index lists in finder order, for the block finder
+# (None past BLOCK_CAP) and the commuting finder. Residual bits are left out,
+# as they depend on the BLAS build. A label ending in "s" is a scrambled copy,
+# seeded by its label, of the input it extends.
+FROZEN_BASES = {
+    **{f"F{n}": (lambda n=n: fourier(n)) for n in range(2, 11)},
+    "F2xF3": lambda: np.kron(fourier(2), fourier(3)),
+    "F2xF2xF2": lambda: np.kron(np.kron(fourier(2), fourier(2)), fourier(2)),
+    "F2xF4": lambda: np.kron(fourier(2), fourier(4)),
+    "F3xF3": lambda: np.kron(fourier(3), fourier(3)),
+    "petrescu1": lambda: petrescu(1.0),
+    "petrescu0.7i": lambda: petrescu(np.exp(0.7j)),
+    "petrescu2.5e-9i": lambda: petrescu(np.exp(2.5e-9j)),
+    "bjorck7": bjorck7,
+    "F12": lambda: fourier(12),
+    "F14": lambda: fourier(14),
+}
+EMPTY = (0, "4f53cda18c2baa0c")
+FROZEN = [
+    ("F2", EMPTY, EMPTY),
+    ("F2s", EMPTY, EMPTY),
+    ("F3", EMPTY, EMPTY),
+    ("F3s", EMPTY, EMPTY),
+    ("F4", (8, "dd2774401e158906"), (1, "d1d79c44c6969437")),
+    ("F4s", (8, "9daa28ebcbea49ba"), (1, "d4a3a40920ae8732")),
+    ("F5", EMPTY, EMPTY),
+    ("F5s", EMPTY, EMPTY),
+    ("F6", (168, "6192dc85df9cd2ac"), (6, "71eed18bfcb8067b")),
+    ("F6s", (168, "b4ad774782d66d4f"), (6, "a35883fd0fe5df27")),
+    ("F7", EMPTY, EMPTY),
+    ("F7s", EMPTY, EMPTY),
+    ("F8", (1040, "9dcd9c3375a796ae"), (13, "1ff289f48f0c1ab2")),
+    ("F8s", (1040, "2086840f10b7ff14"), (13, "2d890ddea719c39d")),
+    ("F9", (1242, "6856cc0597182c30"), (9, "96ae762964189dc7")),
+    ("F9s", (1242, "384fff3cbde44ebb"), (9, "962469285c628e21")),
+    ("F10", (5880, "2b054f5e65882432"), (30, "7e12ab2dc0494ee6")),
+    ("F10s", (5880, "b699f1b2480c9a76"), (30, "732ef869e66516af")),
+    ("F2xF3", (168, "c091eb0ec0f131eb"), (6, "84018cd4e5d585e8")),
+    ("F2xF3s", (168, "bc02ce9a9a9b83b4"), (6, "42d55a5fceaeee56")),
+    ("F2xF2xF2", (6832, "baa1d0b9aa696253"), (77, "93818e387f027adb")),
+    ("F2xF2xF2s", (6832, "4b163213fada4157"), (77, "84524b4b0c882a85")),
+    ("F2xF4", (3056, "f997b554376a3104"), (37, "0c078e0d0c411e60")),
+    ("F2xF4s", (3056, "2653feddccb554ea"), (37, "7845003448cabab2")),
+    ("F3xF3", (4968, "72d936a16e6ff311"), (36, "bf724bd7491b098b")),
+    ("F3xF3s", (4968, "9115bb1191d3b355"), (36, "182071a20c53d4c3")),
+    ("petrescu1", (9, "c231cc4c806f17e4"), EMPTY),
+    ("petrescu1s", (9, "b0202fb4b5096f71"), EMPTY),
+    ("petrescu0.7i", (3, "73fb52feb2624fa2"), EMPTY),
+    ("petrescu0.7is", (3, "f73d6cb3f263fe5e"), EMPTY),
+    ("petrescu2.5e-9i", (3, "73fb52feb2624fa2"), EMPTY),
+    ("petrescu2.5e-9is", (3, "a1d948bbce52391f"), EMPTY),
+    ("bjorck7", EMPTY, EMPTY),
+    ("bjorck7s", EMPTY, EMPTY),
+    ("F12", None, (97, "c84c6a8bf9531627")),
+    ("F12s", None, (97, "fe0caeebe84869a7")),
+    ("F14", None, (126, "1baab89fdbb87c25")),
+    ("F14s", None, (126, "caf18813d0d8d3cb")),
+]
+
+
+def _frozen_input(label):
+    if label in FROZEN_BASES:
+        return FROZEN_BASES[label]()
+    rng = np.random.default_rng(zlib.crc32(label.encode()))
+    return brute.random_equivalence_move(FROZEN_BASES[label[:-1]](), rng)
+
+
+def _count_and_digest(specs):
+    masks = [tuple(mask_indices(getattr(s, f)) for f in s.__dataclass_fields__
+                   if f.endswith("mask")) for s in specs]
+    return len(masks), hashlib.sha256(repr(masks).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("label, block, commuting", FROZEN, ids=[x[0] for x in FROZEN])
+def test_finder_output_is_frozen(label, block, commuting):
+    u = _frozen_input(label)
+    if block is not None:
+        assert _count_and_digest(find_block_pairs(u)) == block
+    assert _count_and_digest(find_commuting_pairs(u)) == commuting
