@@ -7,8 +7,15 @@ Exit codes are uniform across subcommands:
     1   negative or inconclusive verdict
     2   usage or input error
 
+main is the one place that decides exit 2: it catches every ValueError (the
+library's input-error type, which CliError, undecodable files and malformed
+JSON also raise), MemoryError and the RecursionError of over-deep JSON. Any
+other exception is a bug and surfaces as a traceback.
+
 JSON goes to stdout, diagnostics to stderr. All JSON output is canonical:
-fixed key order, repr-style float formatting, no locale dependence.
+fixed key order, repr-style float formatting, no locale dependence. It is
+also strict: a non-finite value in a result is an input error (exit 2), and
+certify's infinite gap is written as null.
 
 Each command takes only the policy flags its code reads: all four on certify
 and repro, --tol-entry and --tol-unitary on verify, pairs and family, and
@@ -37,8 +44,8 @@ __all__ = ["main", "read_matrix", "format_matrix", "parse_matrix"]
 DET_FMT = "%.17g"
 
 
-class CliError(Exception):
-    """Usage or input error; maps to exit code 2."""
+class CliError(ValueError):
+    """Usage or input error; maps to exit code 2, as every ValueError does."""
 
 
 # --- matrix file format ---------------------------------------------------------
@@ -129,7 +136,7 @@ def _read_text(path, stdin=False):
             return sys.stdin.read()
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
 
 
@@ -152,10 +159,7 @@ POLICY_FLAGS = {
 
 def _policy_from(args):
     fields = {f: getattr(args, f) for f, _ in POLICY_FLAGS.values() if hasattr(args, f)}
-    try:
-        return NumericPolicy(**fields)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    return NumericPolicy(**fields)
 
 
 def _add_policy_flags(p, *flags):
@@ -167,7 +171,8 @@ def _add_policy_flags(p, *flags):
 
 
 def _emit(obj):
-    sys.stdout.write(json.dumps(obj) + "\n")
+    """Write obj as strict JSON: a non-finite float raises ValueError."""
+    sys.stdout.write(json.dumps(obj, allow_nan=False) + "\n")
 
 
 def _parse_index_list(tok, n):
@@ -193,22 +198,9 @@ def _gen_circulant(args, policy):
     return hadamard.circulant(row)
 
 
-GEN_KINDS = {
-    "fourier": lambda args, policy: hadamard.fourier(args.n),
-    "petrescu": lambda args, policy: hadamard.petrescu(np.exp(1j * args.lambda_angle)),
-    "bjorck7": lambda args, policy: hadamard.bjorck7(),
-    "qr-circulant": _gen_qr_circulant,
-    "circulant": _gen_circulant,
-}
-
-
 def cmd_gen(args):
     policy = _policy_from(args)
-    try:
-        u = GEN_KINDS[args.kind](args, policy)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    sys.stdout.write(format_matrix(u, args.format, policy))
+    sys.stdout.write(format_matrix(args.make(args, policy), args.format, policy))
     return 0
 
 
@@ -227,11 +219,7 @@ def cmd_verify(args):
 
 def cmd_certify(args):
     u = read_matrix(args.file)
-    policy = _policy_from(args)
-    try:
-        cert = spancert.certify_isolation(u, policy)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    cert = spancert.certify_isolation(u, _policy_from(args))
     _emit(cert.to_json_dict())
     return 0 if cert.verdict == spancert.ISOLATED else 1
 
@@ -239,13 +227,10 @@ def cmd_certify(args):
 def cmd_pairs(args):
     u = read_matrix(args.file)
     policy = _policy_from(args)
-    try:
-        if args.mode == "commuting":
-            specs = families.find_commuting_pairs(u, policy)
-        else:
-            specs = families.find_block_pairs(u, policy)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    if args.mode == "commuting":
+        specs = families.find_commuting_pairs(u, policy)
+    else:
+        specs = families.find_block_pairs(u, policy)
     _emit([families.spec_to_json_dict(s, args.file) for s in specs])
     return 0 if specs else 1
 
@@ -253,24 +238,18 @@ def cmd_pairs(args):
 def cmd_family(args):
     u = read_matrix(args.file)
     policy = _policy_from(args)
-    try:
-        doc = json.loads(_read_text(args.spec))
-    except json.JSONDecodeError as exc:
-        raise CliError(f"cannot read spec {args.spec}: {exc}") from None
+    doc = json.loads(_read_text(args.spec))
     if isinstance(doc, list):
         if not doc:
             raise CliError("spec file holds an empty list")
         if not 0 <= args.index < len(doc):
             raise CliError(f"--index {args.index} is out of range for {len(doc)} specs")
         doc = doc[args.index]
-    try:
-        spec = families.spec_from_json_dict(doc, u)
-        if doc["theorem"] == "constr1":
-            member = families.constr1_family(spec, args.param, policy)
-        else:
-            member = families.constr2_family(spec, np.exp(1j * args.param), policy)
-    except (ValueError, KeyError) as exc:
-        raise CliError(str(exc)) from None
+    spec = families.spec_from_json_dict(doc, u)
+    if doc["theorem"] == "constr1":
+        member = families.constr1_family(spec, args.param, policy)
+    else:
+        member = families.constr2_family(spec, np.exp(1j * args.param), policy)
     sys.stdout.write(format_matrix(member, args.format, policy))
     return 0
 
@@ -281,15 +260,12 @@ def cmd_search(args):
         raise CliError("--masks must hold four ';'-separated index lists")
     if args.starts < 1:
         raise CliError("--starts must be >= 1")
-    try:
-        masks = [_parse_index_list(p, args.n) for p in parts]
-        configs = (search.SearchConfig(args.n, *masks, max_iters=args.max_iters,
-                                       step0=args.step0, tol_obj=args.tol_obj,
-                                       rng_seed=args.seed + k) for k in range(args.starts))
-        # min keeps the first of equal objectives, so the lowest start wins ties
-        best = min(map(search.local_search, configs), key=lambda res: res.objective)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    masks = [_parse_index_list(p, args.n) for p in parts]
+    configs = (search.SearchConfig(args.n, *masks, max_iters=args.max_iters,
+                                   step0=args.step0, tol_obj=args.tol_obj,
+                                   rng_seed=args.seed + k) for k in range(args.starts))
+    # min keeps the first of equal objectives, so the lowest start wins ties
+    best = min(map(search.local_search, configs), key=lambda res: res.objective)
     _emit(
         {
             "n": args.n,
@@ -308,10 +284,7 @@ def cmd_repro(args):
     policy = _policy_from(args)
     u = hadamard.bjorck7()
     a = spancert.span_matrix(u)
-    try:
-        cert = spancert.certify_isolation(u, policy)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    cert = spancert.certify_isolation(u, policy)
     m = spancert.reduced_minor(a)
     _, logdet = np.linalg.slogdet(m)
     det_abs = float(np.exp(logdet))
@@ -355,21 +328,25 @@ def build_parser():
     gen.set_defaults(func=cmd_gen)
     kinds = gen.add_subparsers(dest="kind", required=True, prog=gen.prog)
 
-    def kind(name, *flags):
+    def kind(name, make, *flags):
+        """A gen kind: make(args, policy) returns its matrix."""
         p = kinds.add_parser(name)
         p.add_argument("--format", choices=["cart", "phase"], default="cart")
         _add_policy_flags(p, "--tol-entry", *flags)
+        p.set_defaults(make=make)
         return p
 
-    kind("fourier").add_argument("--n", type=int, required=True, help="order")
-    kind("petrescu").add_argument("--lambda-angle", type=finite, default=0.0,
-                                  help="family parameter as an angle in radians")
-    kind("bjorck7")
-    p = kind("qr-circulant", "--tol-unitary")
+    p = kind("fourier", lambda args, policy: hadamard.fourier(args.n))
+    p.add_argument("--n", type=int, required=True, help="order")
+    p = kind("petrescu", lambda args, policy: hadamard.petrescu(np.exp(1j * args.lambda_angle)))
+    p.add_argument("--lambda-angle", type=finite, default=0.0,
+                   help="family parameter as an angle in radians")
+    kind("bjorck7", lambda args, policy: hadamard.bjorck7())
+    p = kind("qr-circulant", _gen_qr_circulant, "--tol-unitary")
     p.add_argument("--n", type=int, required=True, help="order")
     p.add_argument("--a", type=str, default="solve", help="'re,im' value or 'solve'")
-    kind("circulant").add_argument("--row", type=str, required=True,
-                                   help="file of 're,im' tokens for the first row")
+    kind("circulant", _gen_circulant).add_argument(
+        "--row", type=str, required=True, help="file of 're,im' tokens for the first row")
 
     p = sub.add_parser("verify", help="biunitarity verdict as JSON")
     p.add_argument("file")
@@ -421,10 +398,12 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except ValueError as exc:
         message = str(exc)
     except MemoryError:
         message = "the input is too large to hold in memory"
+    except RecursionError:
+        message = "the input is nested too deeply"
     print(f"error: {message}", file=sys.stderr)
     return 2
 

@@ -131,7 +131,7 @@ def mask_from_indices(indices, n):
 
 def mask_indices(mask):
     """Sorted list of positions where the mask is 1."""
-    return [int(i) for i in np.nonzero(np.asarray(mask))[0]]
+    return np.flatnonzero(mask).tolist()
 
 
 def projection_matrix(mask):

@@ -461,18 +461,16 @@ def spec_from_json_dict(doc, base):
     if not isinstance(doc, dict):
         raise ValueError(f"a family spec is a JSON object, not {type(doc).__name__}")
     base = as_matrix(base)
-    n = base.shape[0]
     tag = doc.get("theorem")
+
+    def masks(*fields):
+        for field in fields:
+            if field not in doc:
+                raise ValueError(f"{tag} spec has no {field!r} mask")
+        return [mask_from_indices(doc[field], base.shape[0]) for field in fields]
+
     if tag == "constr1":
-        return commuting_pair_spec(
-            base, mask_from_indices(doc["p"], n), mask_from_indices(doc["d"], n)
-        )
+        return commuting_pair_spec(base, *masks("p", "d"))
     if tag == "constr2":
-        return block_pair_spec(
-            base,
-            mask_from_indices(doc["p1"], n),
-            mask_from_indices(doc["p2"], n),
-            mask_from_indices(doc["d1"], n),
-            mask_from_indices(doc["d2"], n),
-        )
+        return block_pair_spec(base, *masks("p1", "p2", "d1", "d2"))
     raise ValueError(f"unknown family spec tag {tag!r}")

@@ -133,11 +133,6 @@ def objective(theta, cfg):
     return _unsquared(t1, t2)
 
 
-def _smoothed(theta, cfg):
-    t1, t2, _ = _evaluator(cfg)[0](theta)
-    return t1 + t2
-
-
 def gradient(theta, cfg):
     """Gradient of the smoothed (squared-norm) objective in the phases.
 

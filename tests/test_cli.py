@@ -284,7 +284,8 @@ class TestRepro:
 
 class _CliRuns:
     """Runs the CLI in a directory holding FILES, once per command for the
-    class: names in FILES are passed as their paths there."""
+    class: names in FILES are passed as their paths there. A str value is
+    written as UTF-8, a bytes value as it is."""
 
     FILES = {}
 
@@ -292,8 +293,8 @@ class _CliRuns:
     def run(self, tmp_path_factory):
         """run(args) -> (code, stdout, stderr)."""
         where = tmp_path_factory.mktemp("cli_runs")
-        for name, text in self.FILES.items():
-            (where / name).write_text(text)
+        for name, data in self.FILES.items():
+            (where / name).write_bytes(data if isinstance(data, bytes) else data.encode())
         runs = {}
 
         def run(args):
@@ -321,6 +322,10 @@ class TestBadInput(_CliRuns):
         "not_object.json": json.dumps([1]),
         "huge_row.txt": " ".join(["1,0"] * 200000),
         "row.txt": "1,0 0,0 0,0\n",
+        "not_utf8.mat": b"CART 2\n\xff\xfe,0 0,0\n0,0 1,0\n",
+        "deep.json": "[" * 100000 + "]" * 100000,
+        "overflow.mat": "CART 2\n1e308,0 0.5,0\n0.5,0 -0.5,0\n",
+        "no_d.json": json.dumps({"theorem": "constr1", "base": "p.mat", "p": [0]}),
     }
     USAGE_ERRORS = [
         ["verify", "nan.mat"],
@@ -351,6 +356,12 @@ class TestBadInput(_CliRuns):
         # a loose tolerance makes every edge vanish: the scan candidates are capped
         ["pairs", "f10.mat", "--mode", "block", "--tol-unitary", "0.5"],
         ["pairs", "f14.mat", "--mode", "commuting", "--tol-unitary", "0.5"],
+        # undecodable bytes, over-deep JSON, a result that is not finite, a missing field
+        ["verify", "not_utf8.mat"],
+        ["certify", "not_utf8.mat"],
+        ["family", "p.mat", "--spec", "deep.json", "--param", "1.0"],
+        ["verify", "overflow.mat"],
+        ["family", "p.mat", "--spec", "no_d.json", "--param", "1.0"],
     ]
     NEGATIVE_VERDICTS = [
         ["certify", "f4.mat"],
@@ -378,10 +389,15 @@ class TestBadInput(_CliRuns):
          f"more than {CANDIDATE_CAP} candidates"),
         (["pairs", "f14.mat", "--mode", "commuting", "--tol-unitary", "0.5"],
          f"more than {CANDIDATE_CAP} candidates"),
+        (["verify", "not_utf8.mat"], "cannot read"),
+        (["family", "p.mat", "--spec", "deep.json", "--param", "1.0"], "nested too deeply"),
+        (["verify", "overflow.mat"], "not JSON compliant"),
+        (["family", "p.mat", "--spec", "no_d.json", "--param", "1.0"], "no 'd' mask"),
     ]
 
     @pytest.mark.parametrize("args, cause", CAUSES, ids=[
-        "gen-option-before-kind", "gen-foreign-option", "pairs-block-capped", "pairs-commuting-capped"])
+        "gen-option-before-kind", "gen-foreign-option", "pairs-block-capped", "pairs-commuting-capped",
+        "undecodable-file", "deep-spec", "non-finite-result", "spec-missing-mask"])
     def test_usage_error_names_cause(self, args, cause, run):
         code, out, err = run(args)
         assert (code, out) == (2, "")
@@ -389,11 +405,12 @@ class TestBadInput(_CliRuns):
 
     @pytest.mark.parametrize("args", USAGE_ERRORS + NEGATIVE_VERDICTS + POSITIVE_VERDICTS)
     def test_exit_contract(self, args, run):
-        # 1 is the negative-verdict code, so it must come with a verdict
+        # 1 is the negative-verdict code, so it must come with a verdict in
+        # strict JSON
         code, out, err = run(args)
         assert code in (0, 1, 2)
         if code == 1:
-            json.loads(out)
+            json.loads(out, parse_constant=lambda c: pytest.fail(f"non-strict JSON {c}"))
         if args in self.NEGATIVE_VERDICTS:
             assert code == 1
         if args in self.POSITIVE_VERDICTS:

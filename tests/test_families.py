@@ -379,6 +379,17 @@ class TestSerialization:
         with pytest.raises(ValueError):
             spec_from_json_dict({"theorem": "constr9"}, fourier(4))
 
+    @pytest.mark.parametrize("theorem, field", [
+        ("constr1", "p"), ("constr1", "d"),
+        ("constr2", "p1"), ("constr2", "p2"), ("constr2", "d1"), ("constr2", "d2"),
+    ])
+    def test_missing_mask_is_a_value_error(self, f4_pairs, petrescu_specs, theorem, field):
+        spec = (f4_pairs if theorem == "constr1" else petrescu_specs)[0]
+        doc = spec_to_json_dict(spec, "base.mat")
+        del doc[field]
+        with pytest.raises(ValueError, match=f"no '{field}' mask"):
+            spec_from_json_dict(doc, spec.base)
+
 
 def test_python_scan_matches_brute(rng):
     # the raw candidates of the bitset block scan, before the exact filter

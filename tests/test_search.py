@@ -14,7 +14,7 @@ from hadcert import (
     verify_biunitary,
 )
 from hadcert.families import block_residual
-from hadcert.search import _smoothed
+from hadcert.search import _evaluator
 
 PETRESCU_MASKS = dict(
     p1=mask_from_indices([0, 1], 7),
@@ -131,7 +131,7 @@ class TestLocalSearch:
         res = local_search(petrescu_cfg(seed_phases=theta0))
         t = res.trace
         assert all(t[i + 1] <= t[i] for i in range(len(t) - 1))
-        assert t[0] == pytest.approx(_smoothed(theta0, petrescu_cfg()), rel=1e-12)
+        assert t[0] == pytest.approx(sum(_evaluator(petrescu_cfg())[0](theta0)[:2]), rel=1e-12)
 
     def test_unitarity_only_converges(self):
         # zero masks reduce the objective to the unitarity defect
