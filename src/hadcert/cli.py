@@ -15,7 +15,8 @@ other exception is a bug and surfaces as a traceback.
 JSON goes to stdout, diagnostics to stderr. All JSON output is canonical:
 fixed key order, repr-style float formatting, no locale dependence. It is
 also strict: a non-finite value in a result is an input error (exit 2), and
-certify's infinite gap is written as null.
+certify's infinite gap is written as null. pairs writes the public finder's
+specs through families.spec_to_json_dict, the one witness serializer.
 
 Each command takes only the policy flags its code reads: all four on certify
 and repro, --tol-entry and --tol-unitary on verify, pairs and family, and
@@ -225,12 +226,8 @@ def cmd_certify(args):
 
 
 def cmd_pairs(args):
-    u = read_matrix(args.file)
-    policy = _policy_from(args)
-    if args.mode == "commuting":
-        specs = families.find_commuting_pairs(u, policy)
-    else:
-        specs = families.find_block_pairs(u, policy)
+    find = {"commuting": families.find_commuting_pairs, "block": families.find_block_pairs}
+    specs = find[args.mode](read_matrix(args.file), _policy_from(args))
     _emit([families.spec_to_json_dict(s, args.file) for s in specs])
     return 0 if specs else 1
 

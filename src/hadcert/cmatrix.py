@@ -131,7 +131,7 @@ def mask_from_indices(indices, n):
 
 def mask_indices(mask):
     """Sorted list of positions where the mask is 1."""
-    return np.flatnonzero(mask).tolist()
+    return np.asarray(mask).ravel().nonzero()[0].tolist()
 
 
 def projection_matrix(mask):

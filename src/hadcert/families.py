@@ -14,7 +14,9 @@ the conjugated projections q = U diag(d) U*:
 The finders are exhaustive over 0/1 masks (caps: n <= 14 for pairs, n <= 10
 for quadruples). Quadruples of the shape (p, ~p, d, ~d) satisfy the identity
 for every biunitary and generate only diagonal-phase equivalences, so they
-are excluded as degenerate.
+are excluded as degenerate. The specs a finder returns share read-only views
+of one table of its distinct masks. Serialization reads one table, theorem
+tag -> (spec class, spec builder); JSON keys are the *_mask fields, unsuffixed.
 """
 
 from dataclasses import dataclass
@@ -117,37 +119,44 @@ def block_residual(u, p1_mask, p2_mask, d1_mask, d2_mask):
                             _conjugated(u, [[d1_mask, d2_mask]]))[0])
 
 
-def _check_nontrivial(mask, name):
-    s = int(np.sum(mask))
-    if s == 0 or s == mask.size:
-        raise ValueError(f"{name} must not be all-0 or all-1")
+def _mask_fields(cls):
+    """The *_mask field names of a spec class, in order: the p masks, then
+    as many d masks (its init fields are base, the masks, residual)."""
+    return cls.__match_args__[1:-1]
+
+
+def _spec(cls, residual, u, masks):
+    """A cls spec on u with the measured residual, after checking the masks:
+    0/1 of length n, non-trivial, and disjoint within each side."""
+    u = as_matrix(u)
+    n = u.shape[0]
+    masks = [as_mask(m, n) for m in masks]
+    for m, name in zip(masks, _mask_fields(cls)):
+        if m.sum() in (0, n):
+            raise ValueError(f"{name} must not be all-0 or all-1")
+    half = len(masks) // 2
+    if any(np.sum(side, axis=0).max() > 1 for side in (masks[:half], masks[half:])):
+        raise ValueError("masks within each side must be disjoint")
+    return cls(u, *masks, residual(u, *masks))
 
 
 def commuting_pair_spec(u, p_mask, d_mask):
-    """Build a CommutingPairSpec with the measured residual."""
-    u = as_matrix(u)
-    n = u.shape[0]
-    p = as_mask(p_mask, n)
-    d = as_mask(d_mask, n)
-    _check_nontrivial(p, "p_mask")
-    _check_nontrivial(d, "d_mask")
-    return CommutingPairSpec(u, p, d, commuting_residual(u, p, d))
+    """Build a CommutingPairSpec with the measured residual; both masks must
+    be non-trivial."""
+    return _spec(CommutingPairSpec, commuting_residual, u, (p_mask, d_mask))
 
 
 def block_pair_spec(u, p1_mask, p2_mask, d1_mask, d2_mask):
     """Build a BlockPairSpec with the measured residual; masks must be
     pairwise disjoint within each side and non-trivial."""
-    u = as_matrix(u)
-    n = u.shape[0]
-    p1 = as_mask(p1_mask, n)
-    p2 = as_mask(p2_mask, n)
-    d1 = as_mask(d1_mask, n)
-    d2 = as_mask(d2_mask, n)
-    for m, name in ((p1, "p1_mask"), (p2, "p2_mask"), (d1, "d1_mask"), (d2, "d2_mask")):
-        _check_nontrivial(m, name)
-    if np.any(p1 * p2) or np.any(d1 * d2):
-        raise ValueError("masks within each side must be disjoint")
-    return BlockPairSpec(u, p1, p2, d1, d2, block_residual(u, p1, p2, d1, d2))
+    return _spec(BlockPairSpec, block_residual, u, (p1_mask, p2_mask, d1_mask, d2_mask))
+
+
+# theorem tag -> (spec class, spec builder)
+_KINDS = {
+    "constr1": (CommutingPairSpec, commuting_pair_spec),
+    "constr2": (BlockPairSpec, block_pair_spec),
+}
 
 
 # --- exhaustive finders -------------------------------------------------------
@@ -295,14 +304,18 @@ def _scan_block_pairs(u, tol):
 
 
 def _in_index_order(found, n):
-    """The distinct bitmasks of a (K, c) array, and its rows as indices into
-    them sorted by the masks' index lists, column by column: finder order."""
+    """The distinct bitmasks of a (K, c) array as 0/1 int8 rows sorted by
+    their index lists, and its rows as indices into them sorted column by
+    column: finder order."""
     values, inv = np.unique(found, return_inverse=True)
-    indices = [[k for k in range(n) if (m >> k) & 1] for m in values.tolist()]
-    rank = np.empty(len(values), dtype=np.intp)
-    rank[sorted(range(len(values)), key=indices.__getitem__)] = np.arange(len(values))
-    keys = inv.reshape(found.shape)
-    return values, keys[np.lexsort(rank[keys].T[::-1])]
+    rows = ((values[:, None] >> np.arange(n)[None, :]) & 1).astype(np.int8)
+    # each index list padded with -1, which sorts before any index, so a
+    # lexsort of the padded lists is Python's list order
+    padded = np.sort(np.where(rows == 1, np.arange(n), n), axis=1)
+    padded[padded == n] = -1
+    order = np.lexsort(padded.T[::-1])
+    keys = np.argsort(order)[inv.reshape(found.shape)]
+    return rows[order], keys[np.lexsort(keys.T[::-1])]
 
 
 def _find(u, policy, cap, scan, spec, name):
@@ -321,9 +334,10 @@ def _find(u, policy, cap, scan, spec, name):
     found = scan(u, tol)
     if not len(found):
         return []
-    values, keys = _in_index_order(found, n)
-    masks = ((values[:, None] >> np.arange(n)[None, :]) & 1).astype(np.int8)
+    masks, keys = _in_index_order(found, n)
+    masks.flags.writeable = False
     diffs, projs = _difference(masks), _conjugated(u, masks)
+    rows = list(masks)
     half = keys.shape[1] // 2
     step = (1 << 15) // (n * n)
     out = []
@@ -331,9 +345,8 @@ def _find(u, policy, cap, scan, spec, name):
         chunk = keys[lo:lo + step]
         res = _residuals(diffs[chunk[:, :half]], projs[chunk[:, half:]])
         kept = res <= tol
-        # the spec fields column by column: each mask, then the residual
-        fields = [list(m) for m in masks[chunk[kept]].transpose(1, 0, 2)]
-        out += [spec(u, *f) for f in zip(*fields, res[kept].tolist())]
+        out += [spec(u, *[rows[k] for k in key], r)
+                for key, r in zip(chunk[kept].tolist(), res[kept].tolist())]
     return out
 
 
@@ -370,7 +383,7 @@ def constr1_family(spec, t, policy=DEFAULT_POLICY):
     """
     u = spec.base
     res = commuting_residual(u, spec.p_mask, spec.d_mask)
-    if res > policy.tol_unitary:
+    if not res <= policy.tol_unitary:
         raise ValueError(f"uncertified commuting pair: residual {res:.3e}")
     if t == 0.0:
         return u.copy()
@@ -397,7 +410,7 @@ def constr2_family(spec, lam, policy=DEFAULT_POLICY):
         raise ValueError(f"|lambda| = {abs(lam)} is not 1 within tolerance")
     u = spec.base
     res = block_residual(u, spec.p1_mask, spec.p2_mask, spec.d1_mask, spec.d2_mask)
-    if res > policy.tol_unitary:
+    if not res <= policy.tol_unitary:
         raise ValueError(f"uncertified block quadruple: residual {res:.3e}")
     if lam == 1.0:
         return u.copy()
@@ -433,25 +446,16 @@ def verify_unitarity_identity(spec):
 # --- serialization ------------------------------------------------------------
 
 def spec_to_json_dict(spec, base_ref):
-    """JSON form of a family spec; matrices are carried by reference."""
-    if isinstance(spec, CommutingPairSpec):
-        return {
-            "theorem": "constr1",
-            "base": base_ref,
-            "p": mask_indices(spec.p_mask),
-            "d": mask_indices(spec.d_mask),
-            "residual": float(spec.residual),
-        }
-    if isinstance(spec, BlockPairSpec):
-        return {
-            "theorem": "constr2",
-            "base": base_ref,
-            "p1": mask_indices(spec.p1_mask),
-            "p2": mask_indices(spec.p2_mask),
-            "d1": mask_indices(spec.d1_mask),
-            "d2": mask_indices(spec.d2_mask),
-            "residual": float(spec.residual),
-        }
+    """JSON form of a family spec; matrices are carried by reference. Key
+    order is part of the wire format: theorem, base, the masks as index
+    lists in field order, residual."""
+    for tag, (cls, _) in _KINDS.items():
+        if isinstance(spec, cls):
+            doc = {"theorem": tag, "base": base_ref}
+            for f in _mask_fields(cls):
+                doc[f[:-5]] = mask_indices(getattr(spec, f))
+            doc["residual"] = float(spec.residual)
+            return doc
     raise TypeError(f"not a family spec: {type(spec)}")
 
 
@@ -462,15 +466,11 @@ def spec_from_json_dict(doc, base):
         raise ValueError(f"a family spec is a JSON object, not {type(doc).__name__}")
     base = as_matrix(base)
     tag = doc.get("theorem")
-
-    def masks(*fields):
-        for field in fields:
-            if field not in doc:
-                raise ValueError(f"{tag} spec has no {field!r} mask")
-        return [mask_from_indices(doc[field], base.shape[0]) for field in fields]
-
-    if tag == "constr1":
-        return commuting_pair_spec(base, *masks("p", "d"))
-    if tag == "constr2":
-        return block_pair_spec(base, *masks("p1", "p2", "d1", "d2"))
-    raise ValueError(f"unknown family spec tag {tag!r}")
+    if not isinstance(tag, str) or tag not in _KINDS:
+        raise ValueError(f"unknown family spec tag {tag!r}")
+    cls, build = _KINDS[tag]
+    keys = [f[:-5] for f in _mask_fields(cls)]
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"{tag} spec has no {key!r} mask")
+    return build(base, *(mask_from_indices(doc[key], base.shape[0]) for key in keys))

@@ -23,7 +23,11 @@ __all__ = [
     "petrescu",
     "dephase",
     "equivalent",
+    "EQUIVALENT_CAP",
 ]
+
+# equivalent backtracks over row and column matchings, exponential in n
+EQUIVALENT_CAP = 8
 
 BJORCK7_A = -0.75 + 1j * np.sqrt(7.0) / 4.0
 
@@ -47,12 +51,18 @@ def verify_biunitary(u, policy=DEFAULT_POLICY):
     """Report both residuals: flatness of entry moduli and unitarity.
 
     is_biunitary holds iff max| |u_ij|*sqrt(n) - 1 | <= tol_entry and
-    ||U U* - I||_F <= tol_unitary.
+    ||U U* - I||_F <= tol_unitary. Entries near the float limit make a
+    residual overflow to inf or nan: that raises ValueError rather than
+    report a verdict on it.
     """
     u = as_matrix(u)
     n = u.shape[0]
-    mod_dev = float(np.max(np.abs(np.abs(u) * np.sqrt(n) - 1.0)))
-    uni_res = frobenius_norm(u @ u.conj().T - np.eye(n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mod_dev = float(np.max(np.abs(np.abs(u) * np.sqrt(n) - 1.0)))
+        uni_res = frobenius_norm(u @ u.conj().T - np.eye(n))
+    if not (np.isfinite(mod_dev) and np.isfinite(uni_res)):
+        raise ValueError(f"the biunitarity residuals overflow (modulus deviation {mod_dev:.3e}, "
+                         f"unitarity residual {uni_res:.3e}): matrix entries are too large")
     ok = mod_dev <= policy.tol_entry and uni_res <= policy.tol_unitary
     return BiunitaryVerdict(ok, mod_dev, uni_res)
 
@@ -209,21 +219,22 @@ def dephase(u, policy=DEFAULT_POLICY):
     return d1[:, None] * v
 
 
-def equivalent(u, v, n_limit=8, policy=DEFAULT_POLICY):
+def equivalent(u, v, policy=DEFAULT_POLICY):
     """Is v = D1 P1 u P2 D2 for permutations P1, P2 and unimodular diagonals?
 
     Decided exactly by backtracking over row/column matchings of dephased
     anchor forms, after a fail-fast filter on the phase-invariant multiset of
-    closed quadruple products. Only n <= n_limit is accepted; equivalence at
-    larger orders is refused rather than answered heuristically.
+    closed quadruple products. Only n <= EQUIVALENT_CAP is accepted;
+    equivalence at larger orders is refused rather than answered
+    heuristically.
     """
     u = as_matrix(u)
     v = as_matrix(v)
     n = u.shape[0]
     if v.shape[0] != n:
         return False
-    if n > n_limit:
-        raise ValueError(f"order {n} exceeds n_limit={n_limit}")
+    if n > EQUIVALENT_CAP:
+        raise ValueError(f"order {n} exceeds the exhaustive cap {EQUIVALENT_CAP}")
     tol = max(policy.tol_entry, 1e-12)
 
     if _haagerup_distance(u, v) > 10.0 * tol:

@@ -218,7 +218,7 @@ def promote(result, cfg, policy=DEFAULT_POLICY):
         raise ValueError("cannot promote a non-converged search result")
     u = np.exp(1j * result.phases) / np.sqrt(cfg.n)
     spec = block_pair_spec(u, cfg.p1, cfg.p2, cfg.p3, cfg.p4)
-    if spec.residual > policy.tol_unitary:
+    if not spec.residual <= policy.tol_unitary:
         raise ValueError(
             f"promotion rejected: commutator residual {spec.residual:.3e} "
             f"exceeds {policy.tol_unitary:.3e}"

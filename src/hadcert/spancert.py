@@ -34,7 +34,12 @@ __all__ = [
     "reduced_minor",
     "certify_isolation",
     "kernel_dimension",
+    "CERTIFY_CAP",
 ]
+
+# certify builds an n^2 x n^2 float64 matrix, 8 n^4 bytes: 134 MB at n = 64
+# and 800 MB at n = 100, and its SVD grows as n^6
+CERTIFY_CAP = 64
 
 ISOLATED = "Isolated"
 SPAN_FAILS = "SpanFails"
@@ -133,8 +138,10 @@ def reduced_minor(a):
 
 def certify_isolation(u, policy=DEFAULT_POLICY):
     """Span-rank certificate for a biunitary matrix. Raises on non-biunitary
-    input."""
+    input and past the order cap CERTIFY_CAP."""
     u = as_matrix(u)
+    if u.shape[0] > CERTIFY_CAP:
+        raise ValueError(f"order {u.shape[0]} exceeds the certify cap {CERTIFY_CAP}")
     verdict = verify_biunitary(u, policy)
     if not verdict.is_biunitary:
         raise ValueError(

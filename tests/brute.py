@@ -15,6 +15,11 @@ def bits(mask, n):
     return np.array([(mask >> k) & 1 for k in range(n)], dtype=float)
 
 
+def indices(mask):
+    """Positions of the ones of a 0/1 mask, by a loop."""
+    return [k for k, x in enumerate(mask) if x == 1]
+
+
 def commutator(a, b):
     return a @ b - b @ a
 

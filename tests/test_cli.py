@@ -6,8 +6,17 @@ import sys
 import numpy as np
 import pytest
 
-from hadcert import bjorck7, fourier, petrescu
-from hadcert.cli import POLICY_FLAGS, CliError, build_parser, format_matrix, main, parse_matrix
+import brute
+from hadcert import bjorck7, find_block_pairs, find_commuting_pairs, fourier, petrescu, spancert
+from hadcert.cli import (
+    POLICY_FLAGS,
+    CliError,
+    build_parser,
+    format_matrix,
+    main,
+    parse_matrix,
+    read_matrix,
+)
 from hadcert.families import CANDIDATE_CAP
 
 
@@ -164,6 +173,15 @@ class TestCertify:
         code, _, err = run_cli(["certify", str(f)])
         assert code == 2
 
+    def test_order_cap_exit_2(self, tmp_path, monkeypatch, capsys):
+        f = tmp_path / "f6.mat"
+        f.write_text(format_matrix(fourier(6)))
+        monkeypatch.setattr(spancert, "CERTIFY_CAP", 5)
+        assert main(["certify", str(f)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: order 6 exceeds the certify cap 5\n"
+
 
 class TestPairs:
     def test_block_on_petrescu(self, tmp_path):
@@ -183,6 +201,28 @@ class TestPairs:
         code, out, _ = run_cli(["pairs", str(f), "--mode", "commuting"])
         assert code == 1
         assert json.loads(out) == []
+
+    @pytest.mark.parametrize("make, mode", [
+        (lambda: petrescu(1.0), "block"), (lambda: fourier(12), "commuting"),
+    ], ids=["petrescu-block", "F12-commuting"])
+    def test_wire_format(self, make, mode, tmp_path, capsys):
+        # the expected stdout is built here, key by key, from loop-made index
+        # lists of the finder's masks, so the serializer is not its own check
+        f = tmp_path / "u.mat"
+        f.write_text(format_matrix(make()))
+        u = read_matrix(str(f))
+        if mode == "block":
+            docs = [{"theorem": "constr2", "base": str(f),
+                     "p1": brute.indices(s.p1_mask), "p2": brute.indices(s.p2_mask),
+                     "d1": brute.indices(s.d1_mask), "d2": brute.indices(s.d2_mask),
+                     "residual": s.residual} for s in find_block_pairs(u)]
+        else:
+            docs = [{"theorem": "constr1", "base": str(f),
+                     "p": brute.indices(s.p_mask), "d": brute.indices(s.d_mask),
+                     "residual": s.residual} for s in find_commuting_pairs(u)]
+        assert docs
+        assert main(["pairs", str(f), "--mode", mode]) == 0
+        assert capsys.readouterr().out == json.dumps(docs) + "\n"
 
     def test_cap_exit_2(self, tmp_path):
         f = tmp_path / "f16.mat"
@@ -391,17 +431,23 @@ class TestBadInput(_CliRuns):
          f"more than {CANDIDATE_CAP} candidates"),
         (["verify", "not_utf8.mat"], "cannot read"),
         (["family", "p.mat", "--spec", "deep.json", "--param", "1.0"], "nested too deeply"),
-        (["verify", "overflow.mat"], "not JSON compliant"),
+        (["verify", "overflow.mat"], "residuals overflow"),
+        (["certify", "overflow.mat"], "residuals overflow"),
+        (["pairs", "overflow.mat", "--mode", "block"], "residuals overflow"),
         (["family", "p.mat", "--spec", "no_d.json", "--param", "1.0"], "no 'd' mask"),
     ]
 
     @pytest.mark.parametrize("args, cause", CAUSES, ids=[
         "gen-option-before-kind", "gen-foreign-option", "pairs-block-capped", "pairs-commuting-capped",
-        "undecodable-file", "deep-spec", "non-finite-result", "spec-missing-mask"])
+        "undecodable-file", "deep-spec", "non-finite-result", "certify-non-finite",
+        "pairs-non-finite", "spec-missing-mask"])
     def test_usage_error_names_cause(self, args, cause, run):
+        # one error line naming the cause, and no numpy warning before it
         code, out, err = run(args)
         assert (code, out) == (2, "")
         assert cause in err
+        assert err.count("error:") == 1
+        assert "RuntimeWarning" not in err
 
     @pytest.mark.parametrize("args", USAGE_ERRORS + NEGATIVE_VERDICTS + POSITIVE_VERDICTS)
     def test_exit_contract(self, args, run):

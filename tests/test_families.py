@@ -328,6 +328,22 @@ class TestConstr2:
             constr2_family(spec, np.exp(1j))
 
 
+@pytest.mark.parametrize("build, family, arg, masks", [
+    (commuting_pair_spec, constr1_family, 0.5, [[0, 1], [0, 1]]),
+    (block_pair_spec, constr2_family, np.exp(1j), [[0, 1], [2, 3], [0, 1], [2, 3]]),
+], ids=["constr1", "constr2"])
+def test_nan_residual_is_uncertified(build, family, arg, masks):
+    # a finite base with a 1e308 entry in a column of d: U diag(d) U*
+    # overflows and the residual is nan, which must fail the certification
+    u = petrescu(1.0).copy()
+    u[0, 0] = 1e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        spec = build(u, *(mask_from_indices(m, 7) for m in masks))
+        assert np.isnan(spec.residual)
+        with pytest.raises(ValueError, match="uncertified"):
+            family(spec, arg)
+
+
 class TestUnitarityIdentity:
     def test_petrescu_specs(self, petrescu_specs):
         for s in petrescu_specs:
@@ -375,6 +391,33 @@ class TestSerialization:
         back = spec_from_json_dict(doc, spec.base)
         assert np.array_equal(back.p_mask, spec.p_mask)
 
+    def test_round_trip_every_f6_spec(self):
+        u = fourier(6)
+        specs = find_block_pairs(u) + find_commuting_pairs(u)
+        assert len(specs) == 174
+        for s in specs:
+            back = spec_from_json_dict(spec_to_json_dict(s, "f6.mat"), u)
+            assert type(back) is type(s)
+            assert back.residual == s.residual
+            for f in s.__dataclass_fields__:
+                if f.endswith("_mask"):
+                    assert getattr(back, f).dtype == getattr(s, f).dtype == np.int8
+                    assert np.array_equal(getattr(back, f), getattr(s, f))
+
+    def test_finder_masks_are_read_only(self, f4_pairs, petrescu_specs):
+        # the specs share views of one table of distinct masks: a write
+        # through one would change the others
+        for s in (f4_pairs[0], petrescu_specs[0]):
+            for f in s.__dataclass_fields__:
+                if f.endswith("_mask"):
+                    with pytest.raises(ValueError, match="read-only"):
+                        getattr(s, f)[0] = 1
+
+    @pytest.mark.parametrize("tag", [None, 1, ["constr1"], {"a": 1}])
+    def test_tag_of_any_type(self, tag):
+        with pytest.raises(ValueError, match="unknown family spec tag"):
+            spec_from_json_dict({"theorem": tag, "p": [1], "d": [1]}, fourier(4))
+
     def test_unknown_tag(self):
         with pytest.raises(ValueError):
             spec_from_json_dict({"theorem": "constr9"}, fourier(4))
@@ -398,16 +441,33 @@ def test_python_scan_matches_brute(rng):
         assert got == brute.brute_block_pairs(u)
 
 
+@pytest.mark.parametrize("n", range(1, 15))
+def test_in_index_order_is_python_list_order(n, rng):
+    # columns drawn from a small pool, so masks and whole rows repeat
+    pool = rng.integers(0, 1 << n, 10)
+    found = pool[rng.integers(0, len(pool), (80, 3))]
+    rows, keys = _in_index_order(found, n)
+
+    def index_list(m):
+        return [k for k in range(n) if (int(m) >> k) & 1]
+
+    distinct = sorted({tuple(index_list(m)) for m in found.ravel()})
+    assert rows.dtype == np.int8
+    assert [tuple(brute.indices(r)) for r in rows] == distinct
+    want = sorted([index_list(m) for m in row] for row in found.tolist())
+    assert [[brute.indices(rows[k]) for k in key] for key in keys.tolist()] == want
+
+
 def _public_loop(u, scan, residual):
     """The finder's answer by a plain loop of the public residual over the
     ordered scan candidates: the kept (mask index lists, residual.hex())
     rows, the candidate count and the positions of the rejected ones."""
     tol = DEFAULT_POLICY.tol_unitary
     n = u.shape[0]
-    values, keys = _in_index_order(scan(u, tol), n)
+    rows, keys = _in_index_order(scan(u, tol), n)
     kept, rejected = [], []
     for i, key in enumerate(keys.tolist()):
-        masks = [brute.bits(m, n) for m in values[key]]
+        masks = [row.astype(float) for row in rows[key]]
         res = residual(u, *masks)
         if res <= tol:
             kept.append((*map(mask_indices, masks), res.hex()))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,15 @@ class TestVerifyBiunitary:
         for _ in range(3):
             v = brute.random_equivalence_move(w, rng)
             assert not verify_biunitary(v).is_biunitary
+
+    @pytest.mark.parametrize("scale", [1e308, 1e200])
+    def test_overflow_is_an_error(self, scale):
+        # U U* overflows to inf, then inf - inf is nan: no verdict on it,
+        # and no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="residuals overflow"):
+                verify_biunitary(fourier(3) * scale)
 
 
 class TestCirculant:
@@ -233,7 +244,7 @@ class TestEquivalent:
         assert not equivalent(petrescu(1.0), petrescu(np.exp(0.5j)))
 
     def test_size_cap(self):
-        with pytest.raises(ValueError, match="n_limit"):
+        with pytest.raises(ValueError, match="exhaustive cap 8"):
             equivalent(fourier(9), fourier(9))
 
     def test_different_orders(self):

@@ -19,6 +19,7 @@ from hadcert import (
     reduced_minor,
     span_matrix,
 )
+from hadcert import spancert
 from hadcert.spancert import _real_span_matrix
 
 # Span ranks of the order-n Fourier matrix, frozen from the gcd-sum kernel
@@ -175,6 +176,14 @@ class TestCertify:
         cert = certify_isolation(fourier(n))
         assert cert.rank == rank == brute.gcd_sum_rank(n)
         assert cert.gap >= DEFAULT_POLICY.cert_gap_min
+
+    def test_order_cap(self, monkeypatch):
+        # checked before the n^4 span matrix is built; F48 stays under the cap
+        assert spancert.CERTIFY_CAP >= 48
+        monkeypatch.setattr(spancert, "CERTIFY_CAP", 5)
+        assert certify_isolation(fourier(5)).verdict == ISOLATED
+        with pytest.raises(ValueError, match="order 6 exceeds the certify cap 5"):
+            certify_isolation(fourier(6))
 
     def test_rejects_non_biunitary(self):
         with pytest.raises(ValueError):
