@@ -108,15 +108,31 @@ def _residuals(s, q):
     return np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)).ravel()
 
 
+def _residual(u, p_masks, d_masks):
+    """_residuals of one row. Entries near the float limit overflow the
+    products: the residual is then nan or inf, with no numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(_residuals(_difference([p_masks]), _conjugated(u, [d_masks]))[0])
+
+
 def commuting_residual(u, p_mask, d_mask):
     """||[diag(p), U diag(d) U*]||_F."""
-    return float(_residuals(_difference([[p_mask]]), _conjugated(u, [[d_mask]]))[0])
+    return _residual(u, [p_mask], [d_mask])
 
 
 def block_residual(u, p1_mask, p2_mask, d1_mask, d2_mask):
     """||[P1, U diag(d1) U*] - [P2, U diag(d2) U*]||_F."""
-    return float(_residuals(_difference([[p1_mask, p2_mask]]),
-                            _conjugated(u, [[d1_mask, d2_mask]]))[0])
+    return _residual(u, [p1_mask, p2_mask], [d1_mask, d2_mask])
+
+
+def _check_certified(res, what, policy):
+    """Raise unless the residual res of a spec is within policy.tol_unitary;
+    a residual that overflowed gets its own message."""
+    if not np.isfinite(res):
+        raise ValueError(f"uncertified {what}: the residual overflows ({res:.3e}): "
+                         f"matrix entries are too large")
+    if not res <= policy.tol_unitary:
+        raise ValueError(f"uncertified {what}: residual {res:.3e}")
 
 
 def _mask_fields(cls):
@@ -382,9 +398,7 @@ def constr1_family(spec, t, policy=DEFAULT_POLICY):
     unitary to rounding; the result is verified biunitary before returning.
     """
     u = spec.base
-    res = commuting_residual(u, spec.p_mask, spec.d_mask)
-    if not res <= policy.tol_unitary:
-        raise ValueError(f"uncertified commuting pair: residual {res:.3e}")
+    _check_certified(commuting_residual(u, spec.p_mask, spec.d_mask), "commuting pair", policy)
     if t == 0.0:
         return u.copy()
     h = projection_matrix(spec.p_mask) @ _conjugated(u, spec.d_mask)
@@ -409,9 +423,8 @@ def constr2_family(spec, lam, policy=DEFAULT_POLICY):
     if not abs(abs(lam) - 1.0) <= policy.tol_entry:
         raise ValueError(f"|lambda| = {abs(lam)} is not 1 within tolerance")
     u = spec.base
-    res = block_residual(u, spec.p1_mask, spec.p2_mask, spec.d1_mask, spec.d2_mask)
-    if not res <= policy.tol_unitary:
-        raise ValueError(f"uncertified block quadruple: residual {res:.3e}")
+    _check_certified(block_residual(u, spec.p1_mask, spec.p2_mask, spec.d1_mask, spec.d2_mask),
+                     "block quadruple", policy)
     if lam == 1.0:
         return u.copy()
     n = u.shape[0]

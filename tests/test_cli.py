@@ -366,6 +366,8 @@ class TestBadInput(_CliRuns):
         "deep.json": "[" * 100000 + "]" * 100000,
         "overflow.mat": "CART 2\n1e308,0 0.5,0\n0.5,0 -0.5,0\n",
         "no_d.json": json.dumps({"theorem": "constr1", "base": "p.mat", "p": [0]}),
+        "overflow_spec.json": json.dumps({"theorem": "constr1", "base": "overflow.mat",
+                                          "p": [1], "d": [0]}),
     }
     USAGE_ERRORS = [
         ["verify", "nan.mat"],
@@ -435,12 +437,14 @@ class TestBadInput(_CliRuns):
         (["certify", "overflow.mat"], "residuals overflow"),
         (["pairs", "overflow.mat", "--mode", "block"], "residuals overflow"),
         (["family", "p.mat", "--spec", "no_d.json", "--param", "1.0"], "no 'd' mask"),
+        (["family", "overflow.mat", "--spec", "overflow_spec.json", "--param", "1.0"],
+         "residual overflows"),
     ]
 
     @pytest.mark.parametrize("args, cause", CAUSES, ids=[
         "gen-option-before-kind", "gen-foreign-option", "pairs-block-capped", "pairs-commuting-capped",
         "undecodable-file", "deep-spec", "non-finite-result", "certify-non-finite",
-        "pairs-non-finite", "spec-missing-mask"])
+        "pairs-non-finite", "spec-missing-mask", "family-non-finite"])
     def test_usage_error_names_cause(self, args, cause, run):
         # one error line naming the cause, and no numpy warning before it
         code, out, err = run(args)

@@ -1,6 +1,7 @@
 import hashlib
 import subprocess
 import sys
+import warnings
 import zlib
 from pathlib import Path
 
@@ -328,10 +329,13 @@ class TestConstr2:
             constr2_family(spec, np.exp(1j))
 
 
-@pytest.mark.parametrize("build, family, arg, masks", [
+SPEC_KINDS = [
     (commuting_pair_spec, constr1_family, 0.5, [[0, 1], [0, 1]]),
     (block_pair_spec, constr2_family, np.exp(1j), [[0, 1], [2, 3], [0, 1], [2, 3]]),
-], ids=["constr1", "constr2"])
+]
+
+
+@pytest.mark.parametrize("build, family, arg, masks", SPEC_KINDS, ids=["constr1", "constr2"])
 def test_nan_residual_is_uncertified(build, family, arg, masks):
     # a finite base with a 1e308 entry in a column of d: U diag(d) U*
     # overflows and the residual is nan, which must fail the certification
@@ -341,6 +345,18 @@ def test_nan_residual_is_uncertified(build, family, arg, masks):
         spec = build(u, *(mask_from_indices(m, 7) for m in masks))
         assert np.isnan(spec.residual)
         with pytest.raises(ValueError, match="uncertified"):
+            family(spec, arg)
+
+
+@pytest.mark.parametrize("build, family, arg, masks", SPEC_KINDS, ids=["constr1", "constr2"])
+def test_overflowing_base_names_the_overflow(build, family, arg, masks):
+    # the residual overflows: one ValueError says so, and numpy warns nothing
+    u = petrescu(1.0).copy()
+    u[0, 0] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = build(u, *(mask_from_indices(m, 7) for m in masks))
+        with pytest.raises(ValueError, match="uncertified .*: the residual overflows"):
             family(spec, arg)
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,13 @@ from hadcert import (
     promote,
     verify_biunitary,
 )
+from hadcert.cli import main
 from hadcert.families import block_residual
 from hadcert.search import _evaluator
+
+# The line search may evaluate a trial step it then discards; no such trial
+# may add a numpy warning.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 PETRESCU_MASKS = dict(
     p1=mask_from_indices([0, 1], 7),
@@ -82,6 +89,22 @@ class TestObjective:
                 SearchConfig(n=bad, p1=[], p2=[], p3=[], p4=[])
         with pytest.raises(ValueError, match="0/1 mask"):
             SearchConfig(n=4, p1=[0, 1.9, 0, 1], p2=[0] * 4, p3=[0] * 4, p4=[0] * 4)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", 4.0), ("n", True), ("max_iters", 2.5), ("max_iters", True),
+        ("max_iters", np.True_),
+    ], ids=["n-float", "n-bool", "max_iters-float", "max_iters-bool", "max_iters-numpy-bool"])
+    def test_config_rejects_non_integers(self, field, value):
+        kw = {"n": 4, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SearchConfig(p1=[0] * 4, p2=[0] * 4, p3=[0] * 4, p4=[0] * 4, **kw)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_config_rejects_non_finite_seed(self, bad):
+        theta = np.zeros((4, 4))
+        theta[1, 2] = bad
+        with pytest.raises(ValueError, match="seed_phases must be finite"):
+            zero_cfg(4, seed_phases=theta)
 
 
 class TestGradient:
@@ -152,20 +175,44 @@ class TestLocalSearch:
         assert not res.converged
         assert res.iterations <= 1
 
-    @pytest.mark.parametrize("n,masks,cap", [
-        (7, "0,1;2,3;0,1;2,3", 400),    # the Petrescu masks
-        (6, "0;1,2;0,4;1", 800),        # runs into the cap
-        (8, ";;;", 400),                # unitarity only
-        (9, ";;;", 400),
-        (6, "0,1;;0,2;", 400),          # only p1 and p3 non-empty
-    ])
-    def test_matches_reference_loop(self, n, masks, cap):
-        # the shared evaluations must not move the descent by a single bit
+    # (n, masks, iteration cap, edge). The edges: step0 1e308 fails all 60
+    # halvings at the first iteration, step0 1e3 makes long halving chains,
+    # a cap of 1 stops after one step, and the Fourier start is already a
+    # solution.
+    REFERENCE_ROWS = [
+        (7, "0,1;2,3;0,1;2,3", 400, ""),    # the Petrescu masks
+        (6, "0;1,2;0,4;1", 800, ""),        # runs into the cap
+        (8, ";;;", 400, ""),                # unitarity only
+        (9, ";;;", 400, ""),
+        (6, "0,1;;0,2;", 400, ""),          # only p1 and p3 non-empty
+        (1, ";;;", 50, ""),
+        (16, "0,1;2,3;0,1;2,3", 100, ""),
+        (7, "0,1;2,3;0,1;2,3", 400, "step0=1e308"),
+        (8, ";;;", 400, "step0=1e308"),
+        (7, "0,1;2,3;0,1;2,3", 400, "step0=1e3"),
+        (9, ";;;", 400, "step0=1e3"),
+        (7, "0,1;2,3;0,1;2,3", 1, ""),
+        (8, ";;;", 1, ""),
+        (7, ";;;", 400, "fourier"),
+        (6, ";;;", 400, "fourier"),
+    ]
+    EDGES = {
+        "": lambda n: {},
+        "step0=1e308": lambda n: {"step0": 1e308},
+        "step0=1e3": lambda n: {"step0": 1e3},
+        "fourier": lambda n: {"seed_phases": np.angle(fourier(n))},
+    }
+
+    @pytest.mark.parametrize("n,masks,cap,edge", REFERENCE_ROWS,
+                             ids=["-".join(map(str, r if r[3] else r[:3]))
+                                  for r in REFERENCE_ROWS])
+    def test_matches_reference_loop(self, n, masks, cap, edge):
+        # the stacked line search must not move the descent by a single bit
         p = [mask_from_indices([int(i) for i in part.split(",") if i], n)
              for part in masks.split(";")]
         for seed in (0, 1):
             cfg = SearchConfig(n=n, p1=p[0], p2=p[1], p3=p[2], p4=p[3],
-                               max_iters=cap, rng_seed=seed)
+                               max_iters=cap, rng_seed=seed, **self.EDGES[edge](n))
             res = local_search(cfg)
             phases, obj, iterations, converged, trace = brute.reference_local_search(cfg)
             assert np.array_equal(res.phases, phases)
@@ -173,6 +220,32 @@ class TestLocalSearch:
             assert res.objective == obj
             assert res.converged == converged
             assert res.trace == trace
+            if edge == "step0=1e308":
+                assert iterations == 0
+            if edge == "fourier":
+                assert converged and iterations == 0
+
+
+# `hadcert search` stdout and exit code, frozen: (argv, exit code, sha256 of
+# stdout). The README command, a unitarity-only search, and masks that run
+# into the cap.
+FROZEN_SEARCHES = [
+    (["--n", "7", "--masks", "0,1;2,3;0,1;2,3", "--seed", "1", "--starts", "8"], 0,
+     "3ca2144f6384f9543733895d5764ecd4a1af3a4461de04bc1e7c4d1603a2b325"),
+    (["--n", "9", "--masks", ";;;"], 0,
+     "89e2951dc2b3ba2285b36a5bb77e20cc1d609b2f0a9c141f5ab046f89c4dbbf1"),
+    (["--n", "6", "--masks", "0;1,2;0,4;1", "--max-iters", "800"], 1,
+     "d37c708a98c73cf1907b628bab8d85119b14651b4974866bf537498fb0c30182"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", FROZEN_SEARCHES,
+                         ids=["readme", "n9-unitary", "n6-capped"])
+def test_search_output_is_frozen(argv, code, digest, capsys):
+    assert main(["search", *argv]) == code
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestPromote:
