@@ -8,7 +8,6 @@ and search numerically for new family seeds.
 from .cmatrix import (
     DEFAULT_POLICY,
     NumericPolicy,
-    expi_hermitian,
     frobenius_norm,
     mask_from_indices,
     mask_indices,

@@ -365,7 +365,7 @@ def build_parser():
     p.add_argument("file", help="base matrix file")
     p.add_argument("--spec", required=True, help="JSON spec (as emitted by pairs)")
     p.add_argument("--param", type=finite, required=True,
-                   help="t (commuting pair) or angle of lambda (block quadruple)")
+                   help="angle of lambda, for both kinds (t for a commuting pair)")
     p.add_argument("--index", type=int, default=0,
                    help="which spec when the file holds a list")
     p.add_argument("--format", choices=["cart", "phase"], default="cart")

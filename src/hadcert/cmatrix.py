@@ -1,5 +1,5 @@
-"""Dense complex matrix kernel: the numeric policy, Hermitian exponentials,
-singular values and numerical rank, and diagonal 0/1 masks.
+"""Dense complex matrix kernel: the numeric policy, singular values and
+numerical rank, and diagonal 0/1 masks.
 
 Matrices are numpy arrays of complex128, except that numerical_rank also
 takes real input and keeps it float64. Indices are 0-based throughout; add 1
@@ -15,7 +15,6 @@ __all__ = [
     "NumericPolicy",
     "DEFAULT_POLICY",
     "as_matrix",
-    "expi_hermitian",
     "numerical_rank",
     "frobenius_norm",
     "as_mask",
@@ -59,20 +58,6 @@ def as_matrix(a):
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
-
-
-def expi_hermitian(h, t, policy=DEFAULT_POLICY):
-    """exp(i*t*h) for Hermitian h, via the spectral decomposition.
-
-    The eigenvector route keeps the result unitary to rounding, which the
-    family constructions rely on. Raises if h is not Hermitian within
-    policy.tol_unitary.
-    """
-    h = as_matrix(h)
-    if frobenius_norm(h - h.conj().T) > policy.tol_unitary:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * t * w)) @ v.conj().T
 
 
 def numerical_rank(a, policy=DEFAULT_POLICY):

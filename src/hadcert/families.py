@@ -11,6 +11,10 @@ the conjugated projections q = U diag(d) U*:
     (I + (lam - 1) P1 q1 + (conj(lam) - 1) P2 q2) U, which multiplies the
     (p1 x d1) block of U by lam and the (p2 x d2) block by conj(lam).
 
+Both families are block-phase multiplications and share one constructor:
+for a commuting pair, P q is a projection, so exp(i t P q) = I + (e^{it} - 1)
+P q, the same factor with lam = e^{it} and no second term.
+
 The finders are exhaustive over 0/1 masks (caps: n <= 14 for pairs, n <= 10
 for quadruples). Quadruples of the shape (p, ~p, d, ~d) satisfy the identity
 for every biunitary and generate only diagonal-phase equivalences, so they
@@ -27,7 +31,6 @@ from .cmatrix import (
     DEFAULT_POLICY,
     as_mask,
     as_matrix,
-    expi_hermitian,
     frobenius_norm,
     mask_from_indices,
     mask_indices,
@@ -391,25 +394,43 @@ def find_block_pairs(u, policy=DEFAULT_POLICY):
 
 # --- family constructors ------------------------------------------------------
 
-def constr1_family(spec, t, policy=DEFAULT_POLICY):
-    """Family member exp(i t p q) U from a certified commuting pair.
+def _sides(spec):
+    """The p masks and the d masks of a spec, one of each per side."""
+    masks = [getattr(spec, f) for f in _mask_fields(type(spec))]
+    half = len(masks) // 2
+    return masks[:half], masks[half:]
 
-    p q is Hermitian (the factors commute), so the conjugating factor is
-    unitary to rounding; the result is verified biunitary before returning.
-    """
+
+def _block_phase(spec, lam, what, policy):
+    """(I + (lam - 1) P1 q1 + (conj(lam) - 1) P2 q2) U from a certified spec,
+    with the second term only for a block quadruple; verified biunitary."""
     u = spec.base
-    _check_certified(commuting_residual(u, spec.p_mask, spec.d_mask), "commuting pair", policy)
-    if t == 0.0:
+    ps, ds = _sides(spec)
+    _check_certified(_residual(u, ps, ds), what, policy)
+    if lam == 1.0:
         return u.copy()
-    h = projection_matrix(spec.p_mask) @ _conjugated(u, spec.d_mask)
-    v = expi_hermitian(h, t, policy) @ u
+    f = np.eye(len(u))
+    for c, p, d in zip((lam, np.conj(lam)), ps, ds):
+        f = f + (c - 1.0) * projection_matrix(p) @ _conjugated(u, d)
+    v = f @ u
     verd = verify_biunitary(v, policy)
     if not verd.is_biunitary:
         raise ValueError(
-            f"family member failed biunitarity at t={t} "
+            "family member failed biunitarity "
             f"(unitarity residual {verd.max_unitarity_residual:.3e})"
         )
     return v
+
+
+def constr1_family(spec, t, policy=DEFAULT_POLICY):
+    """Family member exp(i t P q) U from a certified commuting pair.
+
+    P q is a projection (the factors commute), so exp(i t P q) is the
+    block-phase factor I + (e^{it} - 1) P q: 2*pi-periodic in t.
+    """
+    if not np.isfinite(t):
+        raise ValueError(f"constr1_family needs a finite t, got t={t}")
+    return _block_phase(spec, np.exp(1j * t), "commuting pair", policy)
 
 
 def constr2_family(spec, lam, policy=DEFAULT_POLICY):
@@ -422,24 +443,7 @@ def constr2_family(spec, lam, policy=DEFAULT_POLICY):
     lam = complex(lam)
     if not abs(abs(lam) - 1.0) <= policy.tol_entry:
         raise ValueError(f"|lambda| = {abs(lam)} is not 1 within tolerance")
-    u = spec.base
-    _check_certified(block_residual(u, spec.p1_mask, spec.p2_mask, spec.d1_mask, spec.d2_mask),
-                     "block quadruple", policy)
-    if lam == 1.0:
-        return u.copy()
-    n = u.shape[0]
-    p1 = projection_matrix(spec.p1_mask)
-    p2 = projection_matrix(spec.p2_mask)
-    q1 = _conjugated(u, spec.d1_mask)
-    q2 = _conjugated(u, spec.d2_mask)
-    v = (np.eye(n) + (lam - 1.0) * p1 @ q1 + (np.conj(lam) - 1.0) * p2 @ q2) @ u
-    verd = verify_biunitary(v, policy)
-    if not verd.is_biunitary:
-        raise ValueError(
-            f"family member failed biunitarity "
-            f"(unitarity residual {verd.max_unitarity_residual:.3e})"
-        )
-    return v
+    return _block_phase(spec, lam, "block quadruple", policy)
 
 
 def verify_unitarity_identity(spec):
@@ -448,11 +452,9 @@ def verify_unitarity_identity(spec):
     This combination vanishes whenever [P1, q1] = [P2, q2] with disjoint
     projections, and is what makes the block-phase factor unitary.
     """
-    u = spec.base
-    p1 = projection_matrix(spec.p1_mask)
-    p2 = projection_matrix(spec.p2_mask)
-    q1 = _conjugated(u, spec.d1_mask)
-    q2 = _conjugated(u, spec.d2_mask)
+    ps, ds = _sides(spec)
+    (p1, q1), (p2, q2) = [(projection_matrix(p), _conjugated(spec.base, d))
+                          for p, d in zip(ps, ds)]
     return frobenius_norm(p1 @ q1 @ p1 + p2 @ q2 @ p2 - q1 @ p1 - p2 @ q2)
 
 

@@ -187,6 +187,16 @@ def random_equivalence_move(u, rng):
     return (d1[:, None] * p1) @ u @ (p2 * d2[None, :])
 
 
+def expm_member(spec, t):
+    """exp(i t P q) U of a commuting-pair spec by its definition: the
+    spectral decomposition of the Hermitian P q, each eigenvalue w turned
+    into the phase exp(i t w)."""
+    u = spec.base
+    pq = np.diag(spec.p_mask).astype(complex) @ conjugated(u, spec.d_mask)
+    w, v = np.linalg.eigh(pq)
+    return (v * np.exp(1j * t * w)) @ v.conj().T @ u
+
+
 def reference_local_search(cfg):
     """The phase descent of hadcert.search written as it stood before the
     evaluations were shared: every objective, smoothed objective and

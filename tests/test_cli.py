@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import subprocess
@@ -274,6 +275,44 @@ class TestFamily:
         _, fam_out, _ = run_cli(["family", str(base), "--spec", str(spec), "--param", "2.2"])
         code, _, _ = run_cli(["verify", "-"], stdin=fam_out)
         assert code == 0
+
+    # `hadcert family` stdout on a constr2 spec, frozen: (param, format,
+    # sha256 of stdout). The base is `gen petrescu --lambda-angle 0.9`.
+    FROZEN = [
+        ("2.2", "cart", "88a5a5f9f8cb32f9304c246f34162f8ab2ea9e09f309d445329b4cebe60a7378"),
+        ("-1.3", "phase", "00f597d61122638239f1e705f88d52d7e1ad0cd22659210893e86a5623220d82"),
+    ]
+
+    @pytest.mark.parametrize("param, fmt, digest", FROZEN, ids=["cart", "phase"])
+    def test_constr2_output_is_frozen(self, param, fmt, digest, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen", "petrescu", "--lambda-angle", "0.9"]) == 0
+        (tmp_path / "petrescu.mat").write_text(capsys.readouterr().out)
+        (tmp_path / "spec.json").write_text(json.dumps({
+            "theorem": "constr2", "base": "petrescu.mat", "p1": [0, 1], "p2": [2, 3],
+            "d1": [0, 1], "d2": [2, 3], "residual": 0.0,
+        }))
+        assert main(["family", "petrescu.mat", "--spec", "spec.json", "--param", param,
+                     "--format", fmt]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_commuting_member_far_out_verifies(self, tmp_path, capsys):
+        # the commuting-pair family is 2*pi-periodic, so every finite --param
+        # names a member; one far out on F12 must still verify
+        base = tmp_path / "f12.mat"
+        base.write_text(format_matrix(fourier(12)))
+        assert main(["pairs", str(base), "--mode", "commuting"]) == 0
+        spec = tmp_path / "spec.json"
+        spec.write_text(capsys.readouterr().out)
+        member = tmp_path / "member.mat"
+        for idx in range(0, 97, 16):
+            assert main(["family", str(base), "--spec", str(spec), "--param", "1e6",
+                         "--index", str(idx)]) == 0
+            member.write_text(capsys.readouterr().out)
+            assert main(["verify", str(member)]) == 0
+            assert json.loads(capsys.readouterr().out)["is_biunitary"] is True
 
     def test_uncertified_spec_exit_2(self, tmp_path):
         base = tmp_path / "b.mat"

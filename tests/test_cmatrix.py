@@ -4,9 +4,7 @@ import pytest
 from hadcert import (
     DEFAULT_POLICY,
     NumericPolicy,
-    expi_hermitian,
     fourier,
-    frobenius_norm,
     numerical_rank,
     projection_matrix,
 )
@@ -60,32 +58,6 @@ class TestCommutator:
         d1 = projection_matrix(mask_from_indices([0, 2], 4))
         d2 = projection_matrix(mask_from_indices([1, 2], 4))
         assert np.max(np.abs(d1 @ d2 - d2 @ d1)) == 0.0
-
-
-class TestExpiHermitian:
-    def test_zero_time(self, rng):
-        h = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        h = h + h.conj().T
-        assert np.max(np.abs(expi_hermitian(h, 0.0) - np.eye(5))) < 1e-14
-
-    def test_diagonal(self):
-        h = np.diag([np.pi, 0.0, 0.0]).astype(complex)
-        got = expi_hermitian(h, 1.0)
-        assert np.max(np.abs(got - np.diag([-1.0, 1.0, 1.0]))) < 1e-14
-
-    def test_unitary_property(self, rng):
-        for _ in range(10):
-            n = int(rng.integers(2, 9))
-            h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            h = h + h.conj().T
-            t = float(rng.uniform(-np.pi, np.pi))
-            u = expi_hermitian(h, t)
-            assert frobenius_norm(u @ u.conj().T - np.eye(n)) < 1e-12 * n
-
-    def test_rejects_non_hermitian(self, rng):
-        h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        with pytest.raises(ValueError):
-            expi_hermitian(h, 1.0)
 
 
 class TestNumericalRank:

@@ -5,6 +5,7 @@ import warnings
 import zlib
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -161,6 +162,37 @@ class TestConstr1:
         assert spec.residual > 0.01
         with pytest.raises(ValueError, match="uncertified"):
             constr1_family(spec, 0.5)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_t(self, f4_pairs, t):
+        # one ValueError that names t, and no numpy warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"t={t}"):
+                constr1_family(f4_pairs[0], t)
+
+    def test_matches_spectral_exponential(self, rng):
+        # the closed form (I + (e^{it} - 1) P q) U against exp(i t P q) U
+        # taken through the eigenvectors of P q
+        specs = (find_commuting_pairs(fourier(4)) + find_commuting_pairs(fourier(6))
+                 + find_commuting_pairs(fourier(8))[::3] + find_commuting_pairs(fourier(12))[::10]
+                 + find_commuting_pairs(brute.random_equivalence_move(fourier(6), rng)))
+        assert len(specs) == 1 + 6 + 5 + 10 + 6
+        for spec in specs:
+            for t in np.linspace(-2 * np.pi, 2 * np.pi, 9):
+                err = np.max(np.abs(constr1_family(spec, float(t)) - brute.expm_member(spec, t)))
+                assert err < 1e-13
+
+    @pytest.mark.parametrize("big_t", [1e6, 1e9, 1e12, 1e15])
+    def test_large_t_is_the_reduced_angle(self, big_t):
+        # the family is 2*pi-periodic: a member far out is the member at the
+        # angle reduced to [0, 2*pi), which mpmath gives to 40 digits
+        with mpmath.workdps(40):
+            t = float(mpmath.fmod(big_t, 2 * mpmath.pi))
+        for spec in find_commuting_pairs(fourier(4)) + find_commuting_pairs(fourier(12))[::10]:
+            v = constr1_family(spec, big_t)
+            assert verify_biunitary(v).is_biunitary
+            assert np.max(np.abs(v - brute.expm_member(spec, t))) < 1e-12
 
 
 class TestFindBlockPairs:
@@ -327,6 +359,32 @@ class TestConstr2:
         assert spec.residual > 0.01
         with pytest.raises(ValueError, match="uncertified"):
             constr2_family(spec, np.exp(1j))
+
+
+# constr2_family members and verify_unitarity_identity, frozen: sha256 over
+# the member bytes at each FROZEN_LAMBDAS, then the hex of the identity
+# residual. Both family constructors share one block-phase factor; these
+# bits must not move with it.
+FROZEN_LAMBDAS = [np.exp(0.7j), np.exp(-2.5j), -1.0]
+FROZEN_CONSTR2 = [
+    (lambda: block_pair_spec(petrescu(1.0), *(mask_from_indices(m, 7) for m in
+                                              ([0, 1], [2, 3], [0, 1], [2, 3]))),
+     "b3ce6ab986f18663f9267cd27074d892fcbd368c50e6f80f20e0a9ca87d2a954"),
+    (lambda: find_block_pairs(fourier(8))[517],
+     "102934944e19be40f403942c1e8ecbb0b08ac3b1894715864e6b8976e810f881"),
+    (lambda: find_block_pairs(np.kron(fourier(3), fourier(3)))[2024],
+     "ef2cefaa382431a82c71202f89e87be5969af89e02de98d48ebdbcd79bad7936"),
+]
+
+
+@pytest.mark.parametrize("make, digest", FROZEN_CONSTR2, ids=["petrescu1", "F8", "F3xF3"])
+def test_constr2_members_are_frozen(make, digest):
+    spec = make()
+    h = hashlib.sha256()
+    for lam in FROZEN_LAMBDAS:
+        h.update(constr2_family(spec, lam).tobytes())
+    h.update(verify_unitarity_identity(spec).hex().encode())
+    assert h.hexdigest() == digest
 
 
 SPEC_KINDS = [
@@ -500,10 +558,12 @@ def _rows(specs):
 @pytest.mark.parametrize("make, counts", [
     # a 2e-9 step along a family of F2xF4 or F2xF2xF2 breaks some of its
     # witnesses by about the tolerance: (block candidates, rejected,
-    # commuting candidates, rejected)
+    # commuting candidates, rejected). The counts hang on the last bits of
+    # the input, so the commuting step is the spectral exponential that made
+    # them, not constr1_family's closed form (which rejects 1644)
     (lambda: constr2_family(find_block_pairs(np.kron(fourier(2), fourier(4)))[0],
                             np.exp(2e-9j)), (3056, 374, 37, 6)),
-    (lambda: constr1_family(find_commuting_pairs(
+    (lambda: brute.expm_member(find_commuting_pairs(
         np.kron(np.kron(fourier(2), fourier(2)), fourier(2)))[0], 2e-9), (6832, 1436, 77, 12)),
 ], ids=["F2xF4-constr2", "F2xF2xF2-constr1"])
 def test_exact_filter_is_the_public_loop(make, counts):
