@@ -36,7 +36,7 @@ from .cmatrix import (
     mask_indices,
     projection_matrix,
 )
-from .hadamard import verify_biunitary
+from .hadamard import _require_biunitary
 
 __all__ = [
     "CommutingPairSpec",
@@ -347,8 +347,7 @@ def _find(u, policy, cap, scan, spec, name):
         raise ValueError(f"order {n} exceeds the exhaustive cap {cap}")
     if n < 2:
         return []
-    if not verify_biunitary(u, policy).is_biunitary:
-        raise ValueError(f"{name} requires a biunitary matrix")
+    _require_biunitary(u, policy, f"{name} input")
     tol = policy.tol_unitary
     found = scan(u, tol)
     if not len(found):
@@ -413,12 +412,7 @@ def _block_phase(spec, lam, what, policy):
     for c, p, d in zip((lam, np.conj(lam)), ps, ds):
         f = f + (c - 1.0) * projection_matrix(p) @ _conjugated(u, d)
     v = f @ u
-    verd = verify_biunitary(v, policy)
-    if not verd.is_biunitary:
-        raise ValueError(
-            "family member failed biunitarity "
-            f"(unitarity residual {verd.max_unitarity_residual:.3e})"
-        )
+    _require_biunitary(v, policy, "family member")
     return v
 
 

@@ -67,6 +67,18 @@ def verify_biunitary(u, policy=DEFAULT_POLICY):
     return BiunitaryVerdict(ok, mod_dev, uni_res)
 
 
+def _require_biunitary(u, policy, what):
+    """Raise a ValueError naming what and both residuals unless u passes
+    verify_biunitary (which itself raises when a residual overflows)."""
+    verdict = verify_biunitary(u, policy)
+    if not verdict.is_biunitary:
+        raise ValueError(
+            f"{what} is not biunitary "
+            f"(modulus deviation {verdict.max_modulus_deviation:.3e}, "
+            f"unitarity residual {verdict.max_unitarity_residual:.3e})"
+        )
+
+
 def circulant(row):
     """Circulant matrix S with S[i,j] = row[(j - i) mod n]."""
     row = np.asarray(row, dtype=np.complex128).ravel()
@@ -126,13 +138,7 @@ def qr_circulant(n, a="solve", policy=DEFAULT_POLICY):
             raise ValueError(f"unknown mode {a!r}")
         a = _solve_qr_phase(n)
     u = circulant(_qr_row(n, a))
-    verdict = verify_biunitary(u, policy)
-    if not verdict.is_biunitary:
-        raise ValueError(
-            "qr_circulant value does not give a biunitary "
-            f"(modulus dev {verdict.max_modulus_deviation:.3e}, "
-            f"unitarity residual {verdict.max_unitarity_residual:.3e})"
-        )
+    _require_biunitary(u, policy, "qr_circulant matrix")
     return u
 
 
@@ -211,8 +217,11 @@ def dephase(u, policy=DEFAULT_POLICY):
     Entry moduli are unchanged; idempotent. Requires a biunitary input.
     """
     u = as_matrix(u)
-    if not verify_biunitary(u, policy).is_biunitary:
-        raise ValueError("dephase requires a biunitary matrix")
+    _require_biunitary(u, policy, "dephase input")
+    return _dephased(u)
+
+
+def _dephased(u):
     d2 = np.conj(u[0, :]) / np.abs(u[0, :])
     v = u * d2[None, :]
     d1 = np.conj(v[:, 0]) / np.abs(v[:, 0])
@@ -222,11 +231,16 @@ def dephase(u, policy=DEFAULT_POLICY):
 def equivalent(u, v, policy=DEFAULT_POLICY):
     """Is v = D1 P1 u P2 D2 for permutations P1, P2 and unimodular diagonals?
 
-    Decided exactly by backtracking over row/column matchings of dephased
-    anchor forms, after a fail-fast filter on the phase-invariant multiset of
-    closed quadruple products. Only n <= EQUIVALENT_CAP is accepted;
-    equivalence at larger orders is refused rather than answered
-    heuristically.
+    A gap in the phase-invariant multiset of closed quadruple products
+    (_haagerup_distance) answers no at once. Otherwise both inputs must be
+    biunitary, and the answer is yes iff for some anchor (r, c) of u the
+    dephased v and u, dephased with row r and column c moved first, agree
+    entry by entry within tol = max(tol_entry, 1e-12) after a permutation of
+    rows and of columns. The rows are assigned by backtracking, pruned as
+    soon as a column of v has no partner column left, and a short search
+    then looks for a column bijection. No entry is rounded. Only n <=
+    EQUIVALENT_CAP is accepted; equivalence at larger orders is refused
+    rather than answered heuristically.
     """
     u = as_matrix(u)
     v = as_matrix(v)
@@ -240,16 +254,40 @@ def equivalent(u, v, policy=DEFAULT_POLICY):
     if _haagerup_distance(u, v) > 10.0 * tol:
         return False
 
-    C = dephase(v, policy)
-    rest = list(range(n))
+    _require_biunitary(u, policy, "equivalent input")
+    _require_biunitary(v, policy, "equivalent input")
+    C = _dephased(v)
     for r in range(n):
-        rows = [r] + [i for i in rest if i != r]
+        rows = [r] + [i for i in range(n) if i != r]
         for c in range(n):
-            cols = [c] + [j for j in rest if j != c]
-            B = dephase(u[np.ix_(rows, cols)], policy)
-            if _match_fixing_zero(B, C, tol):
+            cols = [c] + [j for j in range(n) if j != c]
+            B = _dephased(u[np.ix_(rows, cols)])
+            close = np.abs(C[:, None, :, None] - B[None, :, None, :]) < tol
+            if _matches(close, 1, close[0, 0], tuple(range(1, n))):
                 return True
     return False
+
+
+def _matches(close, i, ok, free):
+    """Can rows i.. of C go one each to the rows free of B so that some
+    column bijection sigma has close[i, k, j, sigma(j)] on every assigned
+    pair (i, k)? ok[j, l] says column j of C still fits column l of B on
+    the rows assigned so far."""
+    if i == len(close):
+        return _has_bijection(ok)
+    for t, k in enumerate(free):
+        fit = ok & close[i, k]
+        if fit.any(axis=1).all() and _matches(close, i + 1, fit, free[:t] + free[t + 1:]):
+            return True
+    return False
+
+
+def _has_bijection(ok, j=0, taken=()):
+    """Is there sigma with ok[j', sigma(j')] for j' >= j, avoiding taken?"""
+    if j == len(ok):
+        return True
+    return any(_has_bijection(ok, j + 1, taken + (l,))
+               for l in np.flatnonzero(ok[j]) if l not in taken)
 
 
 def _haagerup_distance(u, v):
@@ -270,71 +308,3 @@ def _haagerup_distance(u, v):
         float(np.max(np.abs(np.sort(qu.real) - np.sort(qv.real)))),
         float(np.max(np.abs(np.sort(qu.imag) - np.sort(qv.imag)))),
     )
-
-
-def _fuzzy_key(row, tol):
-    dec = max(0, int(round(-np.log10(tol))) - 2)
-    return tuple(sorted((round(z.real, dec), round(z.imag, dec)) for z in row))
-
-
-def _match_fixing_zero(b, c, tol):
-    """Exists row perm pi and col perm sigma with pi(0)=0, sigma(0)=0 and
-    b[pi,sigma] == c entrywise within tol? Backtracking over rows with
-    multiset pruning, then over column matchings."""
-    n = b.shape[0]
-    keyb = [_fuzzy_key(b[i], tol) for i in range(n)]
-    keyc = [_fuzzy_key(c[i], tol) for i in range(n)]
-    cand = [[0] if i == 0 else [j for j in range(1, n) if keyb[j] == keyc[i]]
-            for i in range(n)]
-    if any(not x for x in cand):
-        return False
-    used = [False] * n
-    assign = []
-
-    def cols_match():
-        bp = b[assign, :]
-        colcand = []
-        for j in range(n):
-            cc = [jj for jj in range(n)
-                  if np.max(np.abs(bp[:, jj] - c[:, j])) < tol]
-            if not cc:
-                return False
-            colcand.append(cc)
-        order = sorted(range(n), key=lambda j: len(colcand[j]))
-        usedc = [False] * n
-
-        def bt(t):
-            if t == n:
-                return True
-            for jj in colcand[order[t]]:
-                if not usedc[jj]:
-                    usedc[jj] = True
-                    if bt(t + 1):
-                        return True
-                    usedc[jj] = False
-            return False
-
-        return bt(0)
-
-    def partial_cols_ok():
-        bp = b[assign, :]
-        cp = c[: len(assign), :]
-        for j in range(n):
-            if not any(np.max(np.abs(bp[:, jj] - cp[:, j])) < tol for jj in range(n)):
-                return False
-        return True
-
-    def bt_rows(i):
-        if i == n:
-            return cols_match()
-        for j in cand[i]:
-            if not used[j]:
-                used[j] = True
-                assign.append(j)
-                if partial_cols_ok() and bt_rows(i + 1):
-                    return True
-                assign.pop()
-                used[j] = False
-        return False
-
-    return bt_rows(0)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cmatrix import DEFAULT_POLICY, NumericPolicy, as_matrix, numerical_rank
-from .hadamard import verify_biunitary
+from .hadamard import _require_biunitary
 
 __all__ = [
     "ISOLATED",
@@ -142,13 +142,7 @@ def certify_isolation(u, policy=DEFAULT_POLICY):
     u = as_matrix(u)
     if u.shape[0] > CERTIFY_CAP:
         raise ValueError(f"order {u.shape[0]} exceeds the certify cap {CERTIFY_CAP}")
-    verdict = verify_biunitary(u, policy)
-    if not verdict.is_biunitary:
-        raise ValueError(
-            "certify_isolation requires a biunitary matrix "
-            f"(modulus dev {verdict.max_modulus_deviation:.3e}, "
-            f"unitarity residual {verdict.max_unitarity_residual:.3e})"
-        )
+    _require_biunitary(u, policy, "certify_isolation input")
     n = u.shape[0]
     expected = n * n - 2 * n + 1
     rank, gap, sv = numerical_rank(_real_span_matrix(u), policy)

@@ -407,6 +407,8 @@ class TestBadInput(_CliRuns):
         "no_d.json": json.dumps({"theorem": "constr1", "base": "p.mat", "p": [0]}),
         "overflow_spec.json": json.dumps({"theorem": "constr1", "base": "overflow.mat",
                                           "p": [1], "d": [0]}),
+        "f4_spec.json": json.dumps({"theorem": "constr1", "base": "f4.mat",
+                                    "p": [1, 3], "d": [1, 3]}),
     }
     USAGE_ERRORS = [
         ["verify", "nan.mat"],
@@ -478,12 +480,15 @@ class TestBadInput(_CliRuns):
         (["family", "p.mat", "--spec", "no_d.json", "--param", "1.0"], "no 'd' mask"),
         (["family", "overflow.mat", "--spec", "overflow_spec.json", "--param", "1.0"],
          "residual overflows"),
+        # the member is unitary to 4e-16; only its moduli miss a 1e-300 tolerance
+        (["family", "f4.mat", "--spec", "f4_spec.json", "--param", "1.3", "--tol-entry", "1e-300"],
+         "modulus deviation"),
     ]
 
     @pytest.mark.parametrize("args, cause", CAUSES, ids=[
         "gen-option-before-kind", "gen-foreign-option", "pairs-block-capped", "pairs-commuting-capped",
         "undecodable-file", "deep-spec", "non-finite-result", "certify-non-finite",
-        "pairs-non-finite", "spec-missing-mask", "family-non-finite"])
+        "pairs-non-finite", "spec-missing-mask", "family-non-finite", "family-modulus-only"])
     def test_usage_error_names_cause(self, args, cause, run):
         # one error line naming the cause, and no numpy warning before it
         code, out, err = run(args)

@@ -18,6 +18,13 @@ from hadcert import (
 from hadcert.hadamard import BJORCK7_A, quadratic_residues
 
 
+def f4(a):
+    """Member a of the affine family F4(a) of order-4 complex Hadamard
+    matrices (Tadej and Zyczkowski's F_4^(1)(a))."""
+    e = 1j * np.exp(1j * a)
+    return np.array([[1, 1, 1, 1], [1, e, -1, -e], [1, -1, 1, -1], [1, -e, -1, e]]) / 2
+
+
 class TestFourier:
     def test_order_one(self):
         assert np.array_equal(fourier(1), np.array([[1.0 + 0j]]))
@@ -236,9 +243,24 @@ class TestEquivalent:
             (fourier(3), np.conj(fourier(3))),
             (fourier(4), np.kron(fourier(2), fourier(2))),
             (fourier(4), brute.random_equivalence_move(np.kron(fourier(2), fourier(2)), rng)),
+            (f4(0.3), f4(0.3).T),
+            (f4(0.3), np.conj(f4(0.3))),
+            (f4(0.3), brute.random_equivalence_move(f4(0.3).T, rng)),
+            (f4(0.3), brute.random_equivalence_move(f4(0.3), rng)),
+            (f4(0.3), f4(-0.3)),
+            (f4(0.3), f4(1.1)),
+            # passes the quadruple-product filter, so the search decides it
+            (f4(0.3), f4(0.3 + 3e-9)),
         ]
         for a, b in cases:
             assert equivalent(a, b) == brute.brute_equivalent(a, b)
+
+    def test_entries_on_a_rounding_boundary(self, rng):
+        # some dephased entries of this member lie half-way between multiples
+        # of 1e-7, where copies equal to 1e-16 round apart
+        u = petrescu(np.exp(1.094396372590179j))
+        for _ in range(20):
+            assert equivalent(u, brute.random_equivalence_move(u, rng))
 
     def test_petrescu_family_members_inequivalent(self):
         assert not equivalent(petrescu(1.0), petrescu(np.exp(0.5j)))
