@@ -8,11 +8,9 @@ and search numerically for new family seeds.
 from .cmatrix import (
     DEFAULT_POLICY,
     NumericPolicy,
-    frobenius_norm,
     mask_from_indices,
     mask_indices,
     numerical_rank,
-    projection_matrix,
 )
 from .families import (
     BlockPairSpec,
@@ -23,7 +21,6 @@ from .families import (
     constr2_family,
     find_block_pairs,
     find_commuting_pairs,
-    verify_unitarity_identity,
 )
 from .hadamard import (
     BiunitaryVerdict,
@@ -43,7 +40,6 @@ from .spancert import (
     SPAN_FAILS,
     SpanCertificate,
     certify_isolation,
-    kernel_dimension,
     reduced_minor,
     span_matrix,
 )

@@ -193,10 +193,7 @@ def _gen_qr_circulant(args, policy):
 
 
 def _gen_circulant(args, policy):
-    row = [complex_token(t) for t in _read_text(args.row).split()]
-    if not row:
-        raise CliError("empty circulant row file")
-    return hadamard.circulant(row)
+    return hadamard.circulant([complex_token(t) for t in _read_text(args.row).split()])
 
 
 def cmd_gen(args):

@@ -16,11 +16,9 @@ __all__ = [
     "DEFAULT_POLICY",
     "as_matrix",
     "numerical_rank",
-    "frobenius_norm",
     "as_mask",
     "mask_from_indices",
     "mask_indices",
-    "projection_matrix",
 ]
 
 
@@ -66,13 +64,18 @@ def numerical_rank(a, policy=DEFAULT_POLICY):
     Returns (rank, gap, singular_values). rank counts singular values above
     rank_rel_cut * sigma_max; gap = sigma_rank / sigma_{rank+1}, infinite for
     full rank (or an exactly zero tail). Real input is decomposed as float64,
-    complex input as complex128.
+    complex input as complex128. Finite entries near the float limit can make
+    a singular value overflow: that raises ValueError rather than report a
+    rank on it.
     """
     a = np.asarray(a)
     a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     s = np.linalg.svd(a, compute_uv=False)
+    if not np.all(np.isfinite(s)):
+        raise ValueError(f"the singular values overflow (sigma_max {s[0]:.3e}): "
+                         f"matrix entries are too large")
     if s.size == 0 or s[0] == 0.0:
         return 0, np.inf, s
     rank = int(np.sum(s > policy.rank_rel_cut * s[0]))
@@ -81,10 +84,6 @@ def numerical_rank(a, policy=DEFAULT_POLICY):
     else:
         gap = float(s[rank - 1] / s[rank])
     return rank, gap, s
-
-
-def frobenius_norm(a):
-    return float(np.linalg.norm(np.asarray(a)))
 
 
 # --- diagonal 0/1 projections -------------------------------------------------
@@ -117,8 +116,3 @@ def mask_from_indices(indices, n):
 def mask_indices(mask):
     """Sorted list of positions where the mask is 1."""
     return np.asarray(mask).ravel().nonzero()[0].tolist()
-
-
-def projection_matrix(mask):
-    """Diagonal projection as a dense complex matrix."""
-    return np.diag(np.asarray(mask, dtype=np.complex128))

@@ -27,15 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmatrix import (
-    DEFAULT_POLICY,
-    as_mask,
-    as_matrix,
-    frobenius_norm,
-    mask_from_indices,
-    mask_indices,
-    projection_matrix,
-)
+from .cmatrix import DEFAULT_POLICY, as_mask, as_matrix, mask_from_indices, mask_indices
 from .hadamard import _require_biunitary
 
 __all__ = [
@@ -49,7 +41,6 @@ __all__ = [
     "find_block_pairs",
     "constr1_family",
     "constr2_family",
-    "verify_unitarity_identity",
     "spec_to_json_dict",
     "spec_from_json_dict",
     "COMMUTING_CAP",
@@ -409,8 +400,9 @@ def _block_phase(spec, lam, what, policy):
     if lam == 1.0:
         return u.copy()
     f = np.eye(len(u))
+    # a dense diag(p) product: p[:, None] * q would move the last bits
     for c, p, d in zip((lam, np.conj(lam)), ps, ds):
-        f = f + (c - 1.0) * projection_matrix(p) @ _conjugated(u, d)
+        f = f + (c - 1.0) * np.diag(np.asarray(p, dtype=np.complex128)) @ _conjugated(u, d)
     v = f @ u
     _require_biunitary(v, policy, "family member")
     return v
@@ -438,18 +430,6 @@ def constr2_family(spec, lam, policy=DEFAULT_POLICY):
     if not abs(abs(lam) - 1.0) <= policy.tol_entry:
         raise ValueError(f"|lambda| = {abs(lam)} is not 1 within tolerance")
     return _block_phase(spec, lam, "block quadruple", policy)
-
-
-def verify_unitarity_identity(spec):
-    """||P1 q1 P1 + P2 q2 P2 - q1 P1 - P2 q2||_F.
-
-    This combination vanishes whenever [P1, q1] = [P2, q2] with disjoint
-    projections, and is what makes the block-phase factor unitary.
-    """
-    ps, ds = _sides(spec)
-    (p1, q1), (p2, q2) = [(projection_matrix(p), _conjugated(spec.base, d))
-                          for p, d in zip(ps, ds)]
-    return frobenius_norm(p1 @ q1 @ p1 + p2 @ q2 @ p2 - q1 @ p1 - p2 @ q2)
 
 
 # --- serialization ------------------------------------------------------------

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmatrix import DEFAULT_POLICY, as_matrix, frobenius_norm
+from .cmatrix import DEFAULT_POLICY, as_matrix
 
 __all__ = [
     "BiunitaryVerdict",
@@ -39,10 +39,17 @@ class BiunitaryVerdict:
     max_unitarity_residual: float
 
 
-def fourier(n):
-    """Order-n Fourier biunitary: entry (i,j) = eps^(i*j)/sqrt(n), eps = e^(2*pi*i/n)."""
+def _order(n):
+    """Raise ValueError unless n is an integer (not bool) >= 1."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"order must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("order must be >= 1")
+
+
+def fourier(n):
+    """Order-n Fourier biunitary: entry (i,j) = eps^(i*j)/sqrt(n), eps = e^(2*pi*i/n)."""
+    _order(n)
     k = np.arange(n)
     return np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
 
@@ -59,7 +66,7 @@ def verify_biunitary(u, policy=DEFAULT_POLICY):
     n = u.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         mod_dev = float(np.max(np.abs(np.abs(u) * np.sqrt(n) - 1.0)))
-        uni_res = frobenius_norm(u @ u.conj().T - np.eye(n))
+        uni_res = float(np.linalg.norm(u @ u.conj().T - np.eye(n)))
     if not (np.isfinite(mod_dev) and np.isfinite(uni_res)):
         raise ValueError(f"the biunitarity residuals overflow (modulus deviation {mod_dev:.3e}, "
                          f"unitarity residual {uni_res:.3e}): matrix entries are too large")
@@ -80,8 +87,13 @@ def _require_biunitary(u, policy, what):
 
 
 def circulant(row):
-    """Circulant matrix S with S[i,j] = row[(j - i) mod n]."""
-    row = np.asarray(row, dtype=np.complex128).ravel()
+    """Circulant matrix S with S[i,j] = row[(j - i) mod n]. The row must be
+    a non-empty 1-D sequence of finite values."""
+    row = np.asarray(row, dtype=np.complex128)
+    if row.ndim != 1 or row.size == 0:
+        raise ValueError(f"a circulant row must be non-empty and 1-D, got shape {row.shape}")
+    if not np.all(np.isfinite(row)):
+        raise ValueError("circulant row entries must be finite")
     n = row.size
     i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     return row[(j - i) % n]
@@ -131,6 +143,7 @@ def qr_circulant(n, a="solve", policy=DEFAULT_POLICY):
     if no unimodular solution exists (the smallest residual is reported); the
     returned matrix always passes verify_biunitary.
     """
+    _order(n)
     if not is_prime(n):
         raise ValueError(f"n={n} is not prime")
     if isinstance(a, str):
@@ -251,7 +264,11 @@ def equivalent(u, v, policy=DEFAULT_POLICY):
         raise ValueError(f"order {n} exceeds the exhaustive cap {EQUIVALENT_CAP}")
     tol = max(policy.tol_entry, 1e-12)
 
-    if _haagerup_distance(u, v) > 10.0 * tol:
+    # entries near the float limit overflow the invariants to inf or nan:
+    # only a finite gap answers no, and the gate below names the overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = _haagerup_distance(u, v)
+    if np.isfinite(gap) and gap > 10.0 * tol:
         return False
 
     _require_biunitary(u, policy, "equivalent input")

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cmatrix import DEFAULT_POLICY, as_mask
-from .families import block_pair_spec
+from .families import _check_certified, block_pair_spec
 
 __all__ = ["SearchConfig", "SearchResult", "objective", "gradient", "local_search", "promote"]
 
@@ -141,12 +141,19 @@ def _unsquared(t1, t2):
     return float(np.sqrt(t1) + np.sqrt(t2))
 
 
-def objective(theta, cfg):
-    """||U U* - I||_F + ||[P1, U P3 U*] - [P2, U P4 U*]||_F (un-squared)."""
+def _phases(theta, cfg):
+    """theta as a float64 (n, n) phase matrix with finite entries, or ValueError."""
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (cfg.n, cfg.n):
-        raise ValueError(f"phase matrix must be {cfg.n}x{cfg.n}")
-    t1, t2, _ = _evaluator(cfg)[0](theta[None])
+        raise ValueError(f"phase matrix must be {cfg.n}x{cfg.n}, got shape {theta.shape}")
+    if not np.isfinite(theta).all():
+        raise ValueError("phase matrix entries must be finite")
+    return theta
+
+
+def objective(theta, cfg):
+    """||U U* - I||_F + ||[P1, U P3 U*] - [P2, U P4 U*]||_F (un-squared)."""
+    t1, t2, _ = _evaluator(cfg)[0](_phases(theta, cfg)[None])
     return _unsquared(t1[0], t2[0])
 
 
@@ -158,7 +165,7 @@ def gradient(theta, cfg):
     differences to ~1e-9 relative.
     """
     evaluate, grad = _evaluator(cfg)
-    return grad(evaluate(np.asarray(theta, dtype=np.float64)[None])[2], 0)
+    return grad(evaluate(_phases(theta, cfg)[None])[2], 0)
 
 
 # Armijo trial steps evaluated per stacked call. About three iterations in
@@ -245,17 +252,15 @@ def local_search(cfg):
 def promote(result, cfg, policy=DEFAULT_POLICY):
     """Certify a converged search result as a BlockPairSpec.
 
-    Builds U from the final phases and checks the quadruple
-    (p1, p2 | p3, p4) at policy.tol_unitary; raises on a non-converged
-    result or when the residual exceeds tolerance.
+    Builds U from the final phases, checked as objective and gradient check
+    theirs, and certifies the quadruple (p1, p2 | p3, p4) by the rule the
+    family constructors apply: the residual must be within
+    policy.tol_unitary, and a residual that overflowed is named as such.
+    Raises ValueError on a non-converged result or an uncertified quadruple.
     """
     if not result.converged:
         raise ValueError("cannot promote a non-converged search result")
-    u = np.exp(1j * result.phases) / np.sqrt(cfg.n)
+    u = np.exp(1j * _phases(result.phases, cfg)) / np.sqrt(cfg.n)
     spec = block_pair_spec(u, cfg.p1, cfg.p2, cfg.p3, cfg.p4)
-    if not spec.residual <= policy.tol_unitary:
-        raise ValueError(
-            f"promotion rejected: commutator residual {spec.residual:.3e} "
-            f"exceeds {policy.tol_unitary:.3e}"
-        )
+    _check_certified(spec.residual, "block quadruple", policy)
     return spec

@@ -33,7 +33,6 @@ __all__ = [
     "span_matrix",
     "reduced_minor",
     "certify_isolation",
-    "kernel_dimension",
     "CERTIFY_CAP",
 ]
 
@@ -88,14 +87,19 @@ def span_matrix(u):
 
     Row (i,j) holds the entries of [D_i, U* D_j U]; explicitly
     A[(i,j),(k,l)] = (delta_ik - delta_il) * conj(u_jk) * u_jl, with both
-    index pairs in lexicographic 0-based order.
+    index pairs in lexicographic 0-based order. Entries near the float limit
+    overflow the products: that raises ValueError.
     """
     u = as_matrix(u)
     n = u.shape[0]
     E = np.eye(n)
     deltas = E[:, None, :, None] - E[:, None, None, :]
-    prods = np.conj(u)[None, :, :, None] * u[None, :, None, :]
-    return (deltas * prods).reshape(n * n, n * n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        prods = np.conj(u)[None, :, :, None] * u[None, :, None, :]
+        a = (deltas * prods).reshape(n * n, n * n)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("the span matrix overflows: matrix entries are too large")
+    return a
 
 
 def _real_span_matrix(u):
@@ -161,11 +165,3 @@ def certify_isolation(u, policy=DEFAULT_POLICY):
         verdict=label,
         policy=policy,
     )
-
-
-def kernel_dimension(u, policy=DEFAULT_POLICY):
-    """Dimension of the kernel of (c_kl) -> sum c_kl [D_k, U* D_l U],
-    i.e. n^2 - rank of the span matrix. Equals 2n-1 exactly when the span
-    bound is attained."""
-    cert = certify_isolation(u, policy)
-    return cert.n * cert.n - cert.rank

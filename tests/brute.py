@@ -197,6 +197,25 @@ def expm_member(spec, t):
     return (v * np.exp(1j * t * w)) @ v.conj().T @ u
 
 
+def verify_unitarity_identity(spec):
+    """||P1 q1 P1 + P2 q2 P2 - q1 P1 - P2 q2||_F of a block quadruple spec.
+
+    This combination vanishes whenever [P1, q1] = [P2, q2] with disjoint
+    projections, and is what makes the block-phase factor unitary. It forms
+    P and q with the family constructor's numpy expressions, bit for bit:
+    test_constr2_members_are_frozen hashes the float it returns.
+    """
+    if not hasattr(spec, "p2_mask"):
+        raise ValueError(f"the unitarity identity needs a block quadruple, "
+                         f"not a {type(spec).__name__}")
+    u = spec.base
+    (p1, q1), (p2, q2) = [
+        (np.diag(np.asarray(p, dtype=np.complex128)),
+         (u * np.asarray(d, dtype=np.float64)[None, :]) @ u.conj().T)
+        for p, d in ((spec.p1_mask, spec.d1_mask), (spec.p2_mask, spec.d2_mask))]
+    return float(np.linalg.norm(p1 @ q1 @ p1 + p2 @ q2 @ p2 - q1 @ p1 - p2 @ q2))
+
+
 def reference_local_search(cfg):
     """The phase descent of hadcert.search written as it stood before the
     evaluations were shared: every objective, smoothed objective and

@@ -401,6 +401,7 @@ class TestBadInput(_CliRuns):
         "not_object.json": json.dumps([1]),
         "huge_row.txt": " ".join(["1,0"] * 200000),
         "row.txt": "1,0 0,0 0,0\n",
+        "empty_row.txt": " \n",
         "not_utf8.mat": b"CART 2\n\xff\xfe,0 0,0\n0,0 1,0\n",
         "deep.json": "[" * 100000 + "]" * 100000,
         "overflow.mat": "CART 2\n1e308,0 0.5,0\n0.5,0 -0.5,0\n",
@@ -483,12 +484,14 @@ class TestBadInput(_CliRuns):
         # the member is unitary to 4e-16; only its moduli miss a 1e-300 tolerance
         (["family", "f4.mat", "--spec", "f4_spec.json", "--param", "1.3", "--tol-entry", "1e-300"],
          "modulus deviation"),
+        (["gen", "circulant", "--row", "empty_row.txt"], "circulant row must be non-empty"),
     ]
 
     @pytest.mark.parametrize("args, cause", CAUSES, ids=[
         "gen-option-before-kind", "gen-foreign-option", "pairs-block-capped", "pairs-commuting-capped",
         "undecodable-file", "deep-spec", "non-finite-result", "certify-non-finite",
-        "pairs-non-finite", "spec-missing-mask", "family-non-finite", "family-modulus-only"])
+        "pairs-non-finite", "spec-missing-mask", "family-non-finite", "family-modulus-only",
+        "circulant-empty-row"])
     def test_usage_error_names_cause(self, args, cause, run):
         # one error line naming the cause, and no numpy warning before it
         code, out, err = run(args)

@@ -6,7 +6,6 @@ from hadcert import (
     NumericPolicy,
     fourier,
     numerical_rank,
-    projection_matrix,
 )
 from hadcert.cmatrix import mask_from_indices
 
@@ -45,19 +44,6 @@ class TestAdjoint:
         for i in range(3):
             for j in range(3):
                 assert abs(a[i, j] - np.conj(eps ** (i * j)) / np.sqrt(3)) < 1e-15
-
-
-class TestTrace:
-    def test_projection(self):
-        p = projection_matrix(mask_from_indices([0], 4))
-        assert np.trace(p) / 4 == pytest.approx(0.25)
-
-
-class TestCommutator:
-    def test_diagonals_commute(self):
-        d1 = projection_matrix(mask_from_indices([0, 2], 4))
-        d2 = projection_matrix(mask_from_indices([1, 2], 4))
-        assert np.max(np.abs(d1 @ d2 - d2 @ d1)) == 0.0
 
 
 class TestNumericalRank:
@@ -99,6 +85,12 @@ class TestNumericalRank:
     def test_nan_rejected(self):
         a = np.full((2, 2), np.nan)
         with pytest.raises(ValueError):
+            numerical_rank(a)
+
+    @pytest.mark.parametrize("a", [np.full((3, 3), 1.7e308), np.full((3, 3), 1e308 + 0j)])
+    def test_overflowing_singular_value_rejected(self, a):
+        # finite entries, but sigma_max overflows to inf: no rank 0 with gap 0
+        with pytest.raises(ValueError, match="singular values overflow"):
             numerical_rank(a)
 
     def test_real_input_stays_real(self, rng, monkeypatch):

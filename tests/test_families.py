@@ -26,7 +26,6 @@ from hadcert import (
     petrescu,
     span_matrix,
     verify_biunitary,
-    verify_unitarity_identity,
 )
 from hadcert import families
 from hadcert.families import (
@@ -383,7 +382,7 @@ def test_constr2_members_are_frozen(make, digest):
     h = hashlib.sha256()
     for lam in FROZEN_LAMBDAS:
         h.update(constr2_family(spec, lam).tobytes())
-    h.update(verify_unitarity_identity(spec).hex().encode())
+    h.update(brute.verify_unitarity_identity(spec).hex().encode())
     assert h.hexdigest() == digest
 
 
@@ -421,7 +420,7 @@ def test_overflowing_base_names_the_overflow(build, family, arg, masks):
 class TestUnitarityIdentity:
     def test_petrescu_specs(self, petrescu_specs):
         for s in petrescu_specs:
-            assert verify_unitarity_identity(s) < 1e-12
+            assert brute.verify_unitarity_identity(s) < 1e-12
 
     def test_random_masks_fail(self, rng):
         u = bjorck7()
@@ -435,17 +434,22 @@ class TestUnitarityIdentity:
                 mask_from_indices(sorted(int(x) for x in perm[4:6]), 7),
                 mask_from_indices([int(perm[6])], 7),
             )
-            vals.append(verify_unitarity_identity(s))
+            vals.append(brute.verify_unitarity_identity(s))
         assert max(vals) > 0.1
 
     def test_zero_masks_zero(self):
         # degenerate all-zero projections: the combination is identically 0;
         # bypass the nontriviality gate by evaluating the formula directly
-        from hadcert.families import BlockPairSpec, verify_unitarity_identity
+        from hadcert.families import BlockPairSpec
 
         z = np.zeros(7, dtype=np.int8)
         s = BlockPairSpec(petrescu(1.0), z, z, z, z, 0.0)
-        assert verify_unitarity_identity(s) == 0.0
+        assert brute.verify_unitarity_identity(s) == 0.0
+
+    def test_commuting_pair_names_the_kind(self):
+        spec = find_commuting_pairs(fourier(4))[0]
+        with pytest.raises(ValueError, match="needs a block quadruple, not a CommutingPairSpec"):
+            brute.verify_unitarity_identity(spec)
 
 
 class TestSerialization:

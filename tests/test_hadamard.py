@@ -41,6 +41,14 @@ class TestFourier:
         with pytest.raises(ValueError):
             fourier(0)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3"])
+    def test_rejects_non_integer_order(self, n):
+        with pytest.raises(ValueError, match="order must be an integer"):
+            fourier(n)
+
+    def test_numpy_integer_order(self):
+        assert np.array_equal(fourier(np.int64(5)), fourier(5))
+
 
 class TestVerifyBiunitary:
     def test_identity_fails(self):
@@ -92,6 +100,16 @@ class TestCirculant:
         row = rng.normal(size=6) + 1j * rng.normal(size=6)
         assert np.array_equal(circulant(row)[0], row)
 
+    @pytest.mark.parametrize("row", [[], [[1, 0], [0, 1]], 1.0], ids=["empty", "2-D", "scalar"])
+    def test_rejects_row_shape(self, row):
+        with pytest.raises(ValueError, match="non-empty and 1-D"):
+            circulant(row)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_row(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            circulant([bad, 1.0])
+
 
 class TestBjorck7:
     def test_value_unimodular(self):
@@ -134,6 +152,11 @@ class TestQrCirculant:
     def test_rejects_composite(self):
         with pytest.raises(ValueError, match="not prime"):
             qr_circulant(4, "solve")
+
+    @pytest.mark.parametrize("n", [7.0, True])
+    def test_rejects_non_integer_order(self, n):
+        with pytest.raises(ValueError, match="order must be an integer"):
+            qr_circulant(n)
 
     def test_no_solution_reported(self):
         # the residue pattern admits no unimodular completion at n = 13
@@ -271,3 +294,10 @@ class TestEquivalent:
 
     def test_different_orders(self):
         assert not equivalent(fourier(3), fourier(4))
+
+    def test_overflow_is_an_error(self):
+        # the quadruple invariants overflow to nan: no warning, and the
+        # biunitarity gate names the overflow
+        u = 1e300 * np.eye(3)
+        with pytest.raises(ValueError, match="residuals overflow"):
+            equivalent(u, u)

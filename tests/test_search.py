@@ -15,6 +15,7 @@ from hadcert import (
     promote,
     verify_biunitary,
 )
+from hadcert.search import SearchResult
 from hadcert.cli import main
 from hadcert.families import block_residual
 from hadcert.search import _evaluator
@@ -105,6 +106,21 @@ class TestObjective:
         theta[1, 2] = bad
         with pytest.raises(ValueError, match="seed_phases must be finite"):
             zero_cfg(4, seed_phases=theta)
+
+
+# one phase check for objective, gradient and promote: shape (n, n), finite
+BAD_PHASES = {
+    "wrong-shape": np.zeros((4, 4)),
+    "nan": np.where(np.eye(3) == 1, np.nan, 0.0),
+    "inf": np.where(np.eye(3) == 1, np.inf, 0.0),
+}
+
+
+@pytest.mark.parametrize("theta", BAD_PHASES.values(), ids=BAD_PHASES.keys())
+@pytest.mark.parametrize("fn", [objective, gradient])
+def test_bad_phase_matrix_is_rejected(fn, theta):
+    with pytest.raises(ValueError, match="phase matrix"):
+        fn(theta, zero_cfg(3))
 
 
 class TestGradient:
@@ -271,12 +287,23 @@ class TestPromote:
         theta0 = np.angle(petrescu(1.0)) + rng.uniform(-1e-3, 1e-3, (7, 7))
         cfg = petrescu_cfg(seed_phases=theta0)
         spec = promote(local_search(cfg), cfg)
-        from hadcert import constr2_family, verify_unitarity_identity
+        from hadcert import constr2_family
 
-        assert verify_unitarity_identity(spec) <= 1e-9
+        assert brute.verify_unitarity_identity(spec) <= 1e-9
         for ang in np.linspace(0, 2 * np.pi, 8, endpoint=False):
             v = constr2_family(spec, np.exp(1j * ang))
             assert verify_biunitary(v).is_biunitary
+
+    def test_uncertified_quadruple_is_named(self, rng):
+        # promote certifies by the family constructors' rule and message
+        res = SearchResult(rng.uniform(0, 2 * np.pi, (7, 7)), 0.0, 1, True)
+        with pytest.raises(ValueError, match="uncertified block quadruple: residual"):
+            promote(res, petrescu_cfg())
+
+    def test_rejects_non_finite_phases(self):
+        res = SearchResult(np.full((7, 7), np.inf), 0.0, 1, True)
+        with pytest.raises(ValueError, match="phase matrix entries must be finite"):
+            promote(res, petrescu_cfg())
 
     def test_rejects_non_converged(self):
         res = local_search(petrescu_cfg(rng_seed=0, max_iters=1))

@@ -13,7 +13,6 @@ from hadcert import (
     bjorck7,
     certify_isolation,
     fourier,
-    kernel_dimension,
     numerical_rank,
     petrescu,
     reduced_minor,
@@ -36,6 +35,11 @@ PETRESCU_RANK = 33
 class TestSpanMatrix:
     def test_shape(self):
         assert span_matrix(fourier(3)).shape == (9, 9)
+
+    def test_overflow_is_an_error(self):
+        # conj(u_jk) u_jl overflows: one ValueError, no numpy warning
+        with pytest.raises(ValueError, match="span matrix overflows"):
+            span_matrix(1e200 * np.eye(3))
 
     def test_diagonal_columns_vanish_exactly(self):
         for u in (fourier(5), bjorck7()):
@@ -217,15 +221,17 @@ class TestCertify:
 
 
 class TestKernelDimension:
+    """n^2 - rank: the kernel of (c_kl) -> sum c_kl [D_k, U* D_l U]."""
+
     def test_primes(self):
         for p in (3, 5, 7):
-            assert kernel_dimension(fourier(p)) == 2 * p - 1
+            assert p * p - certify_isolation(fourier(p)).rank == 2 * p - 1
 
     def test_composite(self):
-        assert kernel_dimension(fourier(4)) == 16 - FOURIER_RANKS[4]
+        assert 16 - certify_isolation(fourier(4)).rank == 16 - FOURIER_RANKS[4]
 
     def test_order_one(self):
-        assert kernel_dimension(fourier(1)) == 1
+        assert 1 - certify_isolation(fourier(1)).rank == 1
 
 
 class TestExactRankOracle:
