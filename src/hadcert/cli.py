@@ -240,10 +240,7 @@ def cmd_family(args):
             raise CliError(f"--index {args.index} is out of range for {len(doc)} specs")
         doc = doc[args.index]
     spec = families.spec_from_json_dict(doc, u)
-    if doc["theorem"] == "constr1":
-        member = families.constr1_family(spec, args.param, policy)
-    else:
-        member = families.constr2_family(spec, np.exp(1j * args.param), policy)
+    member = families._block_phase(spec, np.exp(1j * args.param), policy)
     sys.stdout.write(format_matrix(member, args.format, policy))
     return 0
 

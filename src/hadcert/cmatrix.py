@@ -39,10 +39,31 @@ class NumericPolicy:
 
     def __post_init__(self):
         for name in ("tol_entry", "tol_unitary", "rank_rel_cut", "cert_gap_min"):
-            if not getattr(self, name) > 0:
+            if not _number(getattr(self, name), name, float) > 0:
                 raise ValueError(f"{name} must be strictly positive")
         if not self.rank_rel_cut < 1:
             raise ValueError("rank_rel_cut must be < 1")
+
+
+# conversion -> (the numbers ABC a value must be, how messages name it)
+_NUMBER_KINDS = {
+    int: (numbers.Integral, "an integer"),
+    float: (numbers.Real, "a real number"),
+    complex: (numbers.Complex, "a complex number"),
+}
+
+
+def _number(value, name, kind):
+    """value converted by kind (int, float or complex), or a ValueError that
+    names name: value must be an instance of the matching numbers ABC and not
+    a bool, and fit in a float. nan and inf pass; ranges are the caller's."""
+    abc, what = _NUMBER_KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, abc):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float, got {value!r}") from None
 
 
 DEFAULT_POLICY = NumericPolicy()
@@ -69,6 +90,8 @@ def numerical_rank(a, policy=DEFAULT_POLICY):
     rank on it.
     """
     a = np.asarray(a)
+    if a.ndim != 2:
+        raise ValueError(f"numerical_rank needs a 2-D matrix, got shape {a.shape}")
     a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
@@ -88,11 +111,19 @@ def numerical_rank(a, policy=DEFAULT_POLICY):
 
 # --- diagonal 0/1 projections -------------------------------------------------
 
+def _mask(mask):
+    """mask as a 1-D array, or ValueError naming its shape."""
+    m = np.asarray(mask)
+    if m.ndim != 1:
+        raise ValueError(f"a mask must be 1-D, got shape {m.shape}")
+    return m
+
+
 def as_mask(mask, n):
-    """mask as a flat length-n int8 0/1 vector. Raises ValueError unless
-    every value is exactly 0 or 1; the values are checked before the cast,
-    so 1.9 or 0.5 is rejected rather than truncated."""
-    m = np.asarray(mask).ravel()
+    """mask as a length-n int8 0/1 vector. Raises ValueError unless it is
+    1-D and every value is exactly 0 or 1; the values are checked before the
+    cast, so 1.9 or 0.5 is rejected rather than truncated."""
+    m = _mask(mask)
     if m.size != n or not np.all((m == 0) | (m == 1)):
         raise ValueError(f"expected a 0/1 mask of length {n}")
     return m.astype(np.int8)
@@ -114,5 +145,5 @@ def mask_from_indices(indices, n):
 
 
 def mask_indices(mask):
-    """Sorted list of positions where the mask is 1."""
-    return np.asarray(mask).ravel().nonzero()[0].tolist()
+    """Sorted list of positions where the 1-D mask is 1."""
+    return _mask(mask).nonzero()[0].tolist()

@@ -19,15 +19,16 @@ The finders are exhaustive over 0/1 masks (caps: n <= 14 for pairs, n <= 10
 for quadruples). Quadruples of the shape (p, ~p, d, ~d) satisfy the identity
 for every biunitary and generate only diagonal-phase equivalences, so they
 are excluded as degenerate. The specs a finder returns share read-only views
-of one table of its distinct masks. Serialization reads one table, theorem
-tag -> (spec class, spec builder); JSON keys are the *_mask fields, unsuffixed.
+of one table of its distinct masks. One table, theorem tag -> (spec class,
+spec builder, kind name), gives a kind its JSON tag (keys: the unsuffixed
+*_mask fields), its name in messages and the one constructor that takes it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cmatrix import DEFAULT_POLICY, as_mask, as_matrix, mask_from_indices, mask_indices
+from .cmatrix import DEFAULT_POLICY, _number, as_mask, as_matrix, mask_from_indices, mask_indices
 from .hadamard import _require_biunitary
 
 __all__ = [
@@ -119,14 +120,14 @@ def block_residual(u, p1_mask, p2_mask, d1_mask, d2_mask):
     return _residual(u, [p1_mask, p2_mask], [d1_mask, d2_mask])
 
 
-def _check_certified(res, what, policy):
-    """Raise unless the residual res of a spec is within policy.tol_unitary;
-    a residual that overflowed gets its own message."""
-    if not np.isfinite(res):
-        raise ValueError(f"uncertified {what}: the residual overflows ({res:.3e}): "
-                         f"matrix entries are too large")
+def _check_certified(spec, policy):
+    """Raise unless the residual of spec, recomputed from its masks, is within
+    policy.tol_unitary; a residual that overflowed gets its own message."""
+    res = _residual(spec.base, *_sides(spec))
     if not res <= policy.tol_unitary:
-        raise ValueError(f"uncertified {what}: residual {res:.3e}")
+        why = (f"the residual overflows ({res:.3e}): matrix entries are too large"
+               if not np.isfinite(res) else f"residual {res:.3e}")
+        raise ValueError(f"uncertified {_KINDS[_kind(spec)][2]}: {why}")
 
 
 def _mask_fields(cls):
@@ -162,11 +163,16 @@ def block_pair_spec(u, p1_mask, p2_mask, d1_mask, d2_mask):
     return _spec(BlockPairSpec, block_residual, u, (p1_mask, p2_mask, d1_mask, d2_mask))
 
 
-# theorem tag -> (spec class, spec builder)
+# theorem tag -> (spec class, spec builder, kind name)
 _KINDS = {
-    "constr1": (CommutingPairSpec, commuting_pair_spec),
-    "constr2": (BlockPairSpec, block_pair_spec),
+    "constr1": (CommutingPairSpec, commuting_pair_spec, "commuting pair"),
+    "constr2": (BlockPairSpec, block_pair_spec, "block quadruple"),
 }
+
+
+def _kind(spec):
+    """The theorem tag of spec's class, or None for what is no family spec."""
+    return next((tag for tag, (cls, *_) in _KINDS.items() if isinstance(spec, cls)), None)
 
 
 # --- exhaustive finders -------------------------------------------------------
@@ -391,12 +397,21 @@ def _sides(spec):
     return masks[:half], masks[half:]
 
 
-def _block_phase(spec, lam, what, policy):
-    """(I + (lam - 1) P1 q1 + (conj(lam) - 1) P2 q2) U from a certified spec,
-    with the second term only for a block quadruple; verified biunitary."""
+def _require_kind(spec, tag):
+    """Raise ValueError, naming the kind needed and the kind got, unless spec
+    is of the kind tagged tag, the one that {tag}_family builds from."""
+    got = _kind(spec)
+    if got != tag:
+        what = f"a {_KINDS[got][2]} spec" if got else type(spec).__name__
+        raise ValueError(f"{tag}_family needs a {_KINDS[tag][2]} spec, got {what}")
+
+
+def _block_phase(spec, lam, policy):
+    """(I + (lam - 1) P1 q1 + (conj(lam) - 1) P2 q2) U from a certified spec
+    of either kind (one term for a commuting pair); verified biunitary."""
+    _check_certified(spec, policy)
     u = spec.base
     ps, ds = _sides(spec)
-    _check_certified(_residual(u, ps, ds), what, policy)
     if lam == 1.0:
         return u.copy()
     f = np.eye(len(u))
@@ -409,27 +424,31 @@ def _block_phase(spec, lam, what, policy):
 
 
 def constr1_family(spec, t, policy=DEFAULT_POLICY):
-    """Family member exp(i t P q) U from a certified commuting pair.
+    """Family member exp(i t P q) U from a certified commuting pair; t must
+    be a finite real number.
 
     P q is a projection (the factors commute), so exp(i t P q) is the
     block-phase factor I + (e^{it} - 1) P q: 2*pi-periodic in t.
     """
+    t = _number(t, "t", float)
     if not np.isfinite(t):
         raise ValueError(f"constr1_family needs a finite t, got t={t}")
-    return _block_phase(spec, np.exp(1j * t), "commuting pair", policy)
+    _require_kind(spec, "constr1")
+    return _block_phase(spec, np.exp(1j * t), policy)
 
 
 def constr2_family(spec, lam, policy=DEFAULT_POLICY):
     """Family member (I + (lam-1) P1 q1 + (conj(lam)-1) P2 q2) U from a
-    certified block quadruple; |lam| must be 1.
+    certified block quadruple; lam must be a complex number with |lam| = 1.
 
     Entrywise this multiplies the (p1 x d1) block of U by lam and the
     (p2 x d2) block by conj(lam), leaving all moduli unchanged.
     """
-    lam = complex(lam)
+    lam = _number(lam, "lambda", complex)
     if not abs(abs(lam) - 1.0) <= policy.tol_entry:
         raise ValueError(f"|lambda| = {abs(lam)} is not 1 within tolerance")
-    return _block_phase(spec, lam, "block quadruple", policy)
+    _require_kind(spec, "constr2")
+    return _block_phase(spec, lam, policy)
 
 
 # --- serialization ------------------------------------------------------------
@@ -438,14 +457,11 @@ def spec_to_json_dict(spec, base_ref):
     """JSON form of a family spec; matrices are carried by reference. Key
     order is part of the wire format: theorem, base, the masks as index
     lists in field order, residual."""
-    for tag, (cls, _) in _KINDS.items():
-        if isinstance(spec, cls):
-            doc = {"theorem": tag, "base": base_ref}
-            for f in _mask_fields(cls):
-                doc[f[:-5]] = mask_indices(getattr(spec, f))
-            doc["residual"] = float(spec.residual)
-            return doc
-    raise TypeError(f"not a family spec: {type(spec)}")
+    tag = _kind(spec)
+    if tag is None:
+        raise ValueError(f"not a family spec: {type(spec).__name__}")
+    masks = {f[:-5]: mask_indices(getattr(spec, f)) for f in _mask_fields(type(spec))}
+    return {"theorem": tag, "base": base_ref, **masks, "residual": float(spec.residual)}
 
 
 def spec_from_json_dict(doc, base):
@@ -457,7 +473,7 @@ def spec_from_json_dict(doc, base):
     tag = doc.get("theorem")
     if not isinstance(tag, str) or tag not in _KINDS:
         raise ValueError(f"unknown family spec tag {tag!r}")
-    cls, build = _KINDS[tag]
+    cls, build, _ = _KINDS[tag]
     keys = [f[:-5] for f in _mask_fields(cls)]
     for key in keys:
         if key not in doc:

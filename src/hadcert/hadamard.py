@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmatrix import DEFAULT_POLICY, as_matrix
+from .cmatrix import DEFAULT_POLICY, _number, as_matrix
 
 __all__ = [
     "BiunitaryVerdict",
@@ -41,9 +41,7 @@ class BiunitaryVerdict:
 
 def _order(n):
     """Raise ValueError unless n is an integer (not bool) >= 1."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValueError(f"order must be an integer, got {n!r}")
-    if n < 1:
+    if _number(n, "order", int) < 1:
         raise ValueError("order must be >= 1")
 
 

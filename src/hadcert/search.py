@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cmatrix import DEFAULT_POLICY, as_mask
+from .cmatrix import DEFAULT_POLICY, _number, as_mask
 from .families import _check_certified, block_pair_spec
 
 __all__ = ["SearchConfig", "SearchResult", "objective", "gradient", "local_search", "promote"]
@@ -41,9 +41,9 @@ class SearchConfig:
     seed_phases: starting phase matrix; drawn uniformly from [0, 2*pi) with
     rng_seed when omitted. The masks are 0/1 vectors of length n >= 1, stored
     as float64; p1/p2 and p3/p4 must be exactly disjoint (they may be empty,
-    which reduces the objective to the unitarity term). n and max_iters must
-    be integers (not bool), max_iters at least 1, seed_phases finite, step0
-    finite and > 0, tol_obj finite and >= 0.
+    which reduces the objective to the unitarity term). n, max_iters and
+    rng_seed must be integers (not bool), max_iters at least 1, seed_phases
+    finite, step0 a finite real > 0, tol_obj a finite real >= 0.
     """
 
     n: int
@@ -58,10 +58,8 @@ class SearchConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("n", "max_iters"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("n", "max_iters", "rng_seed"):
+            _number(getattr(self, name), name, int)
         if self.n < 1:
             raise ValueError("order must be >= 1")
         for name in ("p1", "p2", "p3", "p4"):
@@ -78,9 +76,9 @@ class SearchConfig:
             object.__setattr__(self, "seed_phases", s)
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not 0 < self.step0 < np.inf:
+        if not 0 < _number(self.step0, "step0", float) < np.inf:
             raise ValueError(f"step0 must be finite and > 0, got {self.step0}")
-        if not 0 <= self.tol_obj < np.inf:
+        if not 0 <= _number(self.tol_obj, "tol_obj", float) < np.inf:
             raise ValueError(f"tol_obj must be finite and >= 0, got {self.tol_obj}")
 
 
@@ -262,5 +260,5 @@ def promote(result, cfg, policy=DEFAULT_POLICY):
         raise ValueError("cannot promote a non-converged search result")
     u = np.exp(1j * _phases(result.phases, cfg)) / np.sqrt(cfg.n)
     spec = block_pair_spec(u, cfg.p1, cfg.p2, cfg.p3, cfg.p4)
-    _check_certified(spec.residual, "block quadruple", policy)
+    _check_certified(spec, policy)
     return spec

@@ -3,12 +3,22 @@ import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import brute
-from hadcert import bjorck7, find_block_pairs, find_commuting_pairs, fourier, petrescu, spancert
+from hadcert import (
+    bjorck7,
+    constr1_family,
+    constr2_family,
+    find_block_pairs,
+    find_commuting_pairs,
+    fourier,
+    petrescu,
+    spancert,
+)
 from hadcert.cli import (
     POLICY_FLAGS,
     CliError,
@@ -18,7 +28,7 @@ from hadcert.cli import (
     parse_matrix,
     read_matrix,
 )
-from hadcert.families import CANDIDATE_CAP
+from hadcert.families import CANDIDATE_CAP, spec_to_json_dict
 
 
 def run_cli(args, stdin=None):
@@ -297,6 +307,32 @@ class TestFamily:
         out, err = capsys.readouterr()
         assert err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # `hadcert family` is the library constructor of the spec's kind: constr1
+    # at t = --param, constr2 at lambda = e^{i --param}. The expected text is
+    # computed here, not stored, so the test holds on any BLAS kernel.
+    @pytest.mark.parametrize("base, find, member, step", [
+        (lambda: fourier(12), find_commuting_pairs, constr1_family, 8),
+        (lambda: petrescu(np.exp(0.9j)), find_block_pairs,
+         lambda spec, t: constr2_family(spec, np.exp(1j * t)), 1),
+    ], ids=["F12-constr1", "petrescu0.9-constr2"])
+    def test_family_is_the_library(self, base, find, member, step, tmp_path, monkeypatch,
+                                   capsys):
+        monkeypatch.chdir(tmp_path)
+        u = base()
+        Path("base.mat").write_text(format_matrix(u))
+        assert np.array_equal(read_matrix("base.mat"), u)
+        specs = find(u)
+        assert len(specs) >= 3
+        Path("spec.json").write_text(json.dumps([spec_to_json_dict(s, "base.mat") for s in specs]))
+        for idx in range(0, len(specs), step):
+            for param in ("0", "1.3", "-2.5", "3.141592653589793", "1e6"):
+                for fmt in ("cart", "phase"):
+                    assert main(["family", "base.mat", "--spec", "spec.json", "--param", param,
+                                 "--index", str(idx), "--format", fmt]) == 0
+                    out, err = capsys.readouterr()
+                    assert err == ""
+                    assert out == format_matrix(member(specs[idx], float(param)), fmt)
 
     def test_commuting_member_far_out_verifies(self, tmp_path, capsys):
         # the commuting-pair family is 2*pi-periodic, so every finite --param

@@ -7,7 +7,7 @@ from hadcert import (
     fourier,
     numerical_rank,
 )
-from hadcert.cmatrix import mask_from_indices
+from hadcert.cmatrix import as_mask, mask_from_indices, mask_indices
 
 
 class TestPolicy:
@@ -27,6 +27,21 @@ class TestPolicy:
     def test_rejects_bad_fields(self, kw):
         with pytest.raises(ValueError):
             NumericPolicy(**kw)
+
+    @pytest.mark.parametrize("field, value", [
+        ("tol_entry", "a"), ("rank_rel_cut", None), ("tol_unitary", 1j), ("cert_gap_min", True),
+        ("tol_entry", 10**400),
+    ])
+    def test_rejects_non_reals_by_name(self, field, value):
+        # one ValueError that names the field, not a TypeError from a comparison
+        with pytest.raises(ValueError, match=field):
+            NumericPolicy(**{field: value})
+
+    def test_keeps_its_range_rules(self):
+        with pytest.raises(ValueError, match="cert_gap_min"):
+            NumericPolicy(cert_gap_min=np.nan)
+        assert NumericPolicy(cert_gap_min=np.inf).cert_gap_min == np.inf
+        assert NumericPolicy(tol_entry=np.float32(1e-6), cert_gap_min=10).cert_gap_min == 10
 
 
 class TestMatmul:
@@ -82,6 +97,13 @@ class TestNumericalRank:
             v, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
             assert numerical_rank(w @ a @ v)[0] == r0
 
+    @pytest.mark.parametrize("a", [np.ones((2, 3, 3)), np.ones(3), np.float64(1.0), [[[1.0]]]],
+                             ids=["stack", "1-D", "0-D", "nested-list"])
+    def test_rejects_non_2d(self, a):
+        # a stack would run a stacked SVD and fail on an ambiguous truth value
+        with pytest.raises(ValueError, match=r"2-D matrix, got shape \("):
+            numerical_rank(a)
+
     def test_nan_rejected(self):
         a = np.full((2, 2), np.nan)
         with pytest.raises(ValueError):
@@ -113,6 +135,25 @@ class TestNumericalRank:
         assert gap == pytest.approx(cgap, rel=1e-5)
         assert gap == pytest.approx(1e9, rel=1e-5)
         assert np.max(np.abs(sv - csv)) < 1e-14
+
+
+@pytest.mark.parametrize("mask, n", [([[0, 1], [1, 0]], 4), ([[0], [1]], 2), (1, 1)],
+                         ids=["2x2", "column", "scalar"])
+def test_as_mask_needs_1d(mask, n):
+    # it used to flatten: [[0, 1], [1, 0]] was the mask [0, 1, 1, 0]
+    with pytest.raises(ValueError, match="mask must be 1-D"):
+        as_mask(mask, n)
+
+
+@pytest.mark.parametrize("mask", [[[0, 1]], np.ones((2, 2)), 1])
+def test_mask_indices_needs_1d(mask):
+    with pytest.raises(ValueError, match="mask must be 1-D"):
+        mask_indices(mask)
+
+
+def test_masks_accept_1d_sequences():
+    assert as_mask((0, 1, 1), 3).tolist() == [0, 1, 1]
+    assert mask_indices(np.array([1, 0, 1], dtype=np.int8)) == [0, 2]
 
 
 @pytest.mark.parametrize("indices", ["ab", [1.5], None, 3, [True], {"a": 1}])

@@ -417,6 +417,84 @@ def test_overflowing_base_names_the_overflow(build, family, arg, masks):
             family(spec, arg)
 
 
+class TestKindAndParameter:
+    """Each constructor takes only its own kind of spec and a number for its
+    parameter; anything else is one ValueError that names what is wrong,
+    with no numpy warning on the way."""
+
+    @pytest.fixture(autouse=True)
+    def _warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_constr2_rejects_a_commuting_pair(self, f4_pairs):
+        # it used to return a 4x4 member of the commuting family
+        with pytest.raises(ValueError, match="constr2_family needs a block quadruple spec, "
+                                             "got a commuting pair spec"):
+            constr2_family(f4_pairs[0], 1j)
+
+    def test_constr1_rejects_a_block_quadruple(self, petrescu_specs):
+        # it used to return the block family at lam = e^{it}
+        with pytest.raises(ValueError, match="constr1_family needs a commuting pair spec, "
+                                             "got a block quadruple spec"):
+            constr1_family(petrescu_specs[0], 0.5)
+
+    @pytest.mark.parametrize("family, arg", [(constr1_family, 0.5), (constr2_family, 1j)])
+    @pytest.mark.parametrize("spec", [None, object(), {"theorem": "constr1"}],
+                             ids=["None", "object", "dict"])
+    def test_rejects_a_non_spec(self, family, arg, spec):
+        with pytest.raises(ValueError, match=f"needs a .* spec, got {type(spec).__name__}"):
+            family(spec, arg)
+
+    @pytest.mark.parametrize("t", [None, "a", 1j, "1", [0.5]], ids=["None", "a", "1j", "str-1", "list"])
+    def test_constr1_names_a_bad_t(self, f4_pairs, t):
+        with pytest.raises(ValueError, match=r"t must be a real number, got "):
+            constr1_family(f4_pairs[0], t)
+
+    @pytest.mark.parametrize("lam", [None, "a", "1", [1.0]], ids=["None", "a", "str-1", "list"])
+    def test_constr2_names_a_bad_lambda(self, petrescu_specs, lam):
+        # "1" used to be accepted through complex("1")
+        with pytest.raises(ValueError, match="lambda must be a complex number, got "):
+            constr2_family(petrescu_specs[0], lam)
+
+    def test_the_parameter_is_checked_before_the_spec(self):
+        with pytest.raises(ValueError, match="t must be"):
+            constr1_family(None, None)
+        with pytest.raises(ValueError, match="lambda must be"):
+            constr2_family(None, None)
+
+    def test_numpy_parameters_keep_their_bits(self, f4_pairs, petrescu_specs):
+        for spec in f4_pairs:
+            for t in (0.3, -2.5, 1e6):
+                assert np.array_equal(constr1_family(spec, np.float64(t)), constr1_family(spec, t))
+            assert np.array_equal(constr1_family(spec, np.int64(2)), constr1_family(spec, 2.0))
+        for spec in petrescu_specs[:20]:
+            for a in (0.3, -2.5):
+                lam = np.exp(1j * a)
+                assert np.array_equal(constr2_family(spec, np.complex128(lam)),
+                                      constr2_family(spec, complex(lam)))
+            assert np.array_equal(constr2_family(spec, np.float64(-1.0)), constr2_family(spec, -1))
+
+    @pytest.mark.parametrize("spec", [object(), None, "constr1"])
+    def test_serializing_a_non_spec(self, spec):
+        with pytest.raises(ValueError, match=f"not a family spec: {type(spec).__name__}"):
+            spec_to_json_dict(spec, "x")
+
+    def test_the_cli_member_is_the_constructor(self, f4_pairs, petrescu_specs):
+        # families._block_phase at e^{it}, which `hadcert family` calls for
+        # both kinds, is constr1_family at t and constr2_family at e^{it},
+        # bit for bit
+        for t in (0.0, 1.3, -2.5, 1e6):
+            lam = np.exp(1j * t)
+            for spec in f4_pairs:
+                assert np.array_equal(families._block_phase(spec, lam, DEFAULT_POLICY),
+                                      constr1_family(spec, t))
+            for spec in petrescu_specs[::40]:
+                assert np.array_equal(families._block_phase(spec, lam, DEFAULT_POLICY),
+                                      constr2_family(spec, lam))
+
+
 class TestUnitarityIdentity:
     def test_petrescu_specs(self, petrescu_specs):
         for s in petrescu_specs:

@@ -93,12 +93,23 @@ class TestObjective:
 
     @pytest.mark.parametrize("field, value", [
         ("n", 4.0), ("n", True), ("max_iters", 2.5), ("max_iters", True),
-        ("max_iters", np.True_),
-    ], ids=["n-float", "n-bool", "max_iters-float", "max_iters-bool", "max_iters-numpy-bool"])
+        ("max_iters", np.True_), ("rng_seed", "x"), ("rng_seed", 1.5), ("rng_seed", True),
+    ], ids=["n-float", "n-bool", "max_iters-float", "max_iters-bool", "max_iters-numpy-bool",
+            "rng_seed-str", "rng_seed-float", "rng_seed-bool"])
     def test_config_rejects_non_integers(self, field, value):
         kw = {"n": 4, field: value}
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             SearchConfig(p1=[0] * 4, p2=[0] * 4, p3=[0] * 4, p4=[0] * 4, **kw)
+
+    @pytest.mark.parametrize("field, value", [("step0", "a"), ("tol_obj", None), ("step0", 1j)])
+    def test_config_rejects_non_reals(self, field, value):
+        # a ValueError naming the field, not a TypeError from a comparison
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+            zero_cfg(4, **{field: value})
+
+    def test_config_accepts_numpy_numbers(self):
+        cfg = zero_cfg(4, step0=np.float64(0.1), tol_obj=np.float32(0.5), rng_seed=np.int64(3))
+        assert local_search(cfg).phases.shape == (4, 4)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_config_rejects_non_finite_seed(self, bad):
