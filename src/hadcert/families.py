@@ -24,6 +24,7 @@ spec builder, kind name), gives a kind its JSON tag (keys: the unsuffixed
 *_mask fields), its name in messages and the one constructor that takes it.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,8 @@ BLOCK_CAP = 10
 # real input seen (a perturbed F2xF2xF2); a loose tol_unitary can make every
 # edge vanish and ask for billions
 CANDIDATE_CAP = 1 << 20
+# elements of the largest temporary of one subset-test step
+_STEP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -183,35 +186,69 @@ def _kind(spec):
 # the others, and Q[m] = U diag(m) U* is linear in m, so Q[d1] + Q[d2] =
 # Q[d1 | d2] for disjoint masks: every zero test is "these edges vanish in Q[m]".
 #
+# What depends on the order alone is a scan plan, built on the first call at
+# that order and kind, cached for the process and read-only: the masks a scan
+# reads (int16), their 0/1 rows (int8), their cross bitsets and, for the
+# block scan, the disjoint d pairs and the p pairs with their zone bitsets.
+# The caps bound the orders: the largest plan (block, n = 10) takes 1.1 MB,
+# all of them 2.2 MB. A finder call builds only what depends on U: the zero
+# bitsets, in blocks of 256 masks that stay in cache, then the subset tests.
+#
 # The scan candidates then pass an exact filter: the residual of the public
 # function, kept if <= tol_unitary. _find stacks q = U diag(d) U* and
-# s = p[:, None] - p[None, :] once over the distinct masks, then hands chunks
-# of candidates to _residuals, the kernel of block_residual and
-# commuting_residual: the floats are theirs, bit for bit.
+# s = p[:, None] - p[None, :] once over the distinct masks, then gathers
+# chunks of candidates into two buffers and hands them to _residuals, the
+# kernel of block_residual and commuting_residual: the floats are theirs, bit
+# for bit. _new_specs builds the specs it keeps.
 
-def _bitsets(flags):
-    """Rows of per-edge flags packed into rows of uint64 words."""
-    rows, n_edges = flags.shape
-    padded = np.zeros((rows, -(-n_edges // 64) * 64), dtype=bool)
-    padded[:, :n_edges] = flags
+def _read_only(*arrays):
+    """The arrays, each marked read-only."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _mask_rows(masks, n):
+    """The 0/1 int8 rows of an array of n-bit masks: row[k] is bit k."""
+    return ((masks[:, None] >> np.arange(n)[None, :]) & 1).astype(np.int8)
+
+
+def _ranges(start, count):
+    """The index ranges start[j], ..., start[j] + count[j] - 1, concatenated."""
+    return np.repeat(start - (np.cumsum(count) - count), count) + np.arange(count.sum())
+
+
+@functools.cache
+def _edges(n):
+    """The edges (i, j), i < j, of order n as two read-only index arrays."""
+    return _read_only(*np.triu_indices(n, k=1))
+
+
+def _cross(rows):
+    """Bitsets of the edges that cross each mask, from its 0/1 row. A bitset
+    is a row of uint64 words; n = 14 has 91 edges."""
+    ei, ej = _edges(rows.shape[1])
+    padded = np.zeros((len(rows), -(-len(ei) // 64) * 64), dtype=bool)
+    padded[:, :len(ei)] = rows[:, ei] != rows[:, ej]
     return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
 
 
-def _edge_tables(u, tol, masks):
-    """Tables over the edges (i, j), i < j, for the masks a scan reads:
+def _edge_tables(u, tol, rows):
+    """zero[r] = bitset of the edges e with |Q[m]_e|^2 <= 2 tol^2, for the
+    mask m whose 0/1 row is rows[r] (edges and bitsets as in _cross).
 
-    zero[r]  = bitset of the edges e with |Q[masks[r]]_e|^2 <= 2 tol^2
-    cross[r] = bitset of the edges that cross masks[r]
-
-    A bitset is a row of uint64 words; n = 14 has 91 edges.
+    The products run 256 masks at a time, the real and the imaginary half
+    each into a contiguous buffer allocated once (about 0.4 MB at n = 14), so
+    they stay in L2 and fault in no new pages. A block of two or more masks
+    rounds each Q entry as a product over more masks does; a block of one
+    goes through gemv, and the scans' row counts (2^n and 2^(n-1) - 1)
+    leave none behind unless it is the only mask.
     """
     n = u.shape[0]
-    ei, ej = np.triu_indices(n, k=1)
+    ei, ej = _edges(n)
     n_edges = len(ei)
-    bits = ((masks[:, None] >> np.arange(n)[None, :]) & 1).astype(np.int8)
-    rows = bits.astype(np.float64)
     # Q[m] on edge e is the sum of u_ik conj(u_jk) over k in m: rows[m] @ terms
-    # gives its real parts, then its imaginary parts
+    # gives its real parts, then its imaginary parts, one half of terms each
     terms = u[ei, :] * np.conj(u[ej, :])
     terms = np.concatenate([terms.real, terms.imag]).T
     # The gate is per edge and needs no slack. The squared residual of a pair
@@ -220,21 +257,38 @@ def _edge_tables(u, tol, masks):
     # accepts has every term <= tol^2 / 2. This Q differs from the dense Q of
     # the residual only by rounding (~1e-16), so the scans keep every such
     # combination and the finders return exactly what the exact filter accepts.
-    flags = np.empty((len(rows), n_edges), dtype=bool)
-    for lo in range(0, len(rows), 2048):
-        q = rows[lo:lo + 2048] @ terms
-        q *= q
-        np.less_equal(q[:, :n_edges] + q[:, n_edges:], 2.0 * tol * tol,
-                      out=flags[lo:lo + 2048])
-    return _bitsets(flags), _bitsets(bits[:, ei] != bits[:, ej])
+    gate = 2.0 * tol * tol
+    size = max(1, min(len(rows), 256))
+    block = np.empty((size, n))
+    q = np.empty((2, size, n_edges))
+    flags = np.empty((size, n_edges), dtype=bool)
+    zero = np.zeros((len(rows), -(-n_edges // 64)), dtype=np.uint64)
+    zero_bytes = zero.view(np.uint8)[:, :-(-n_edges // 8)]
+    for lo in range(0, len(rows), size):
+        k = min(size, len(rows) - lo)
+        block[:k] = rows[lo:lo + k]
+        re, im = q[0, :k], q[1, :k]
+        np.matmul(block[:k], terms[:, :n_edges], out=re)
+        np.matmul(block[:k], terms[:, n_edges:], out=im)
+        np.multiply(q[:, :k], q[:, :k], out=q[:, :k])
+        np.add(re, im, out=re)
+        np.less_equal(re, gate, out=flags[:k])
+        zero_bytes[lo:lo + k] = np.packbits(flags[:k], axis=1, bitorder="little")
+    return zero
 
 
 def _covering(sets, rows):
-    """Index pairs (i, r) with bitset sets[i] a subset of bitset rows[r].
+    """Index pairs (i, r) with bitset sets[i] a subset of bitset rows[r],
+    ordered by i, then by rows[r] in lexsort order (last word first), then
+    by r.
 
-    The subset test runs once per distinct row, over chunks of sets: word 0
-    on every pair of a chunk, each later word on the pairs still left. Over
-    CANDIDATE_CAP pairs raise ValueError before any is expanded.
+    The test runs on the distinct rows, grouped by their word 0 (a block row
+    is a (z1, z2, z12) triple and word 0 is z1, which takes at most 2^n
+    values). Over chunks of sets, word 0 is tested once per distinct word-0
+    value; each hit is expanded to the distinct rows of its group, about
+    2^20 pairs at a time, and each later word is tested on the pairs still
+    left. Over CANDIDATE_CAP pairs, counting equal rows, raise ValueError
+    before any is expanded to them.
     """
     if not len(sets) or not len(rows):
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
@@ -243,41 +297,91 @@ def _covering(sets, rows):
     first = np.flatnonzero(np.append(True, np.any(rows[1:] != rows[:-1], axis=1)))
     size = np.diff(np.append(first, len(rows)))
     holes = ~rows[first]
-    step = max(1, (1 << 20) // holes.size)
-    found_i, found_k, total = [], [], 0
+    # group g of the distinct rows, those whose word 0 is values[g], is
+    # members[start[g]:start[g] + count[g]]
+    members = np.argsort(holes[:, 0], kind="stable")
+    word0 = holes[members, 0]
+    start = np.flatnonzero(np.append(True, word0[1:] != word0[:-1]))
+    values, count = word0[start], np.diff(np.append(start, len(word0)))
+    step = max(1, _STEP // len(values))
+    found_i, found_k, total = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)], 0
     for lo in range(0, len(sets), step):
         chunk = sets[lo:lo + step]
-        i, k = np.nonzero((chunk[:, None, 0] & holes[None, :, 0]) == 0)
-        for w in range(1, holes.shape[1]):
-            kept = (chunk[i, w] & holes[k, w]) == 0
-            i, k = i[kept], k[kept]
-        total += int(size[k].sum())
-        if total > CANDIDATE_CAP:
-            raise ValueError(f"the mask scan found more than {CANDIDATE_CAP} candidates; "
-                             "a smaller tol_unitary admits fewer")
-        found_i.append(i + lo)
-        found_k.append(k)
+        # a row of the test per word-0 value, over the chunk's word 0 made contiguous
+        g, i = np.nonzero((values[:, None] & np.ascontiguousarray(chunk[:, 0])) == 0)
+        if not len(g):
+            continue
+        ends = np.cumsum(count[g])
+        cuts = np.searchsorted(ends, np.arange(0, ends[-1], _STEP), side="right")
+        for a, b in zip(cuts, np.append(cuts[1:], len(g))):
+            # one piece: each hit's set against every distinct row of its group
+            n_pairs = count[g[a:b]]
+            pi, k = np.repeat(i[a:b], n_pairs), members[_ranges(start[g[a:b]], n_pairs)]
+            for w in range(1, holes.shape[1]):
+                kept = (chunk[pi, w] & holes[k, w]) == 0
+                pi, k = pi[kept], k[kept]
+            total += int(size[k].sum())
+            if total > CANDIDATE_CAP:
+                raise ValueError(f"the mask scan found more than {CANDIDATE_CAP} candidates; "
+                                 "a smaller tol_unitary admits fewer")
+            found_i.append(pi + lo)
+            found_k.append(k)
     i, k = np.concatenate(found_i), np.concatenate(found_k)
+    by_set = np.lexsort((k, i))
+    i, k = i[by_set], k[by_set]
     # expand each hit on a distinct row to every row equal to it
-    size = size[k]
-    start = first[k] - (np.cumsum(size) - size)
-    return np.repeat(i, size), order[np.repeat(start, size) + np.arange(size.sum())]
+    return np.repeat(i, size[k]), order[_ranges(first[k], size[k])]
 
 
 def _disjoint_pairs(n):
-    """Every ordered pair (a, b) of disjoint n-bit masks, as two int64 arrays."""
-    a = b = np.zeros(1, dtype=np.int64)
+    """Every ordered pair (a, b) of disjoint n-bit masks, as two int16 arrays."""
+    a = b = np.zeros(1, dtype=np.int16)
     for k in range(n):
         a, b = np.concatenate([a, a | (1 << k), a]), np.concatenate([b, b, b | (1 << k)])
     return a, b
+
+
+@functools.cache
+def _commuting_plan(n):
+    """The canonical masks of order n (bit 0 clear, not 0: one of each
+    complement pair), their 0/1 rows and their cross bitsets; read-only."""
+    canon = np.arange(2, (1 << n) - 1, 2, dtype=np.int16)
+    rows = _mask_rows(canon, n)
+    return _read_only(canon, rows, _cross(rows))
+
+
+@functools.cache
+def _block_plan(n):
+    """The order-n tables of the block scan, read-only, masks as int16:
+
+    rows          the 0/1 row of every mask, the masks the scan tabulates
+    d1, d2, d12   each ordered pair of disjoint non-empty masks, and d1 | d2
+    whole, cross  each p1 > 0 with p1 < ~p1, and its cross bitset
+    p1, p2, sets  each p1 < p2, p1 > 0, disjoint, with r = ~(p1 | p2) not
+                  empty, and its edges between p1 and r, between p2 and r
+                  and between p1 and p2, as three bitsets
+    """
+    full = (1 << n) - 1
+    rows = _mask_rows(np.arange(full + 1), n)
+    cross = _cross(rows)
+    a, b = _disjoint_pairs(n)
+    ds = (a > 0) & (b > 0)
+    d1, d2 = a[ds], b[ds]
+    ps = (a > 0) & (a < b)
+    whole = a[ps & ((a | b) == full)]
+    pairs = ps & ((a | b) != full)
+    p1, p2 = a[pairs], b[pairs]
+    c1, c2 = cross[p1], cross[p2]
+    sets = np.concatenate([c1 & ~c2, c2 & ~c1, c1 & c2], axis=1)
+    return _read_only(rows, d1, d2, d1 | d2, whole, cross[whole], p1, p2, sets)
 
 
 def _scan_commuting_pairs(u, tol):
     """Candidate pairs (p, d) of canonical bitmasks (bit 0 clear, not 0) as a
     (K, 2) array: [diag(p), Q[d]] = 0 iff Q[d] vanishes on every edge
     crossing p. Only the canonical masks are tabulated."""
-    canon = np.arange(2, (1 << len(u)) - 1, 2)
-    zero, cross = _edge_tables(u, tol, canon)
+    canon, rows, cross = _commuting_plan(len(u))
+    zero = _edge_tables(u, tol, rows)
     ds = zero.any(axis=1)
     i, k = _covering(cross, zero[ds])
     return np.stack([canon[i], canon[ds][k]], axis=1)
@@ -293,30 +397,22 @@ def _scan_block_pairs(u, tol):
     p1 and p2. Every mask is tabulated: d1, d2 and p1 range over all of them.
     """
     full = (1 << len(u)) - 1
-    zero, cross = _edge_tables(u, tol, np.arange(full + 1))
-    a, b = _disjoint_pairs(len(u))
-    ps = (a > 0) & (a < b)
-    ds = (a > 0) & (b > 0)
-    d1, d2 = a[ds], b[ds]
-    d12 = d1 | d2
+    rows, d1, d2, d12, whole, cross, p1, p2, sets = _block_plan(len(u))
+    zero = _edge_tables(u, tol, rows)
+    vanish = zero.any(axis=1)
     # r empty (p2 = ~p1): only the edges crossing p1 are left, and every split
     # of a d1 | d2 other than full is a candidate; the splits of full are the
     # degenerate complement pattern
-    p1 = a[ps & ((a | b) == full)]
-    keep = (d12 != full) & zero[d12].any(axis=1)
-    i, k = _covering(cross[p1], zero[d12[keep]])
-    whole = np.stack([p1[i], full ^ p1[i], d1[keep][k], d2[keep][k]], axis=1)
+    keep = (d12 != full) & vanish[d12]
+    i, k = _covering(cross, zero[d12[keep]])
+    found = [np.stack([whole[i], full ^ whole[i], d1[keep][k], d2[keep][k]], axis=1)]
     # r non-empty: every zone is non-empty, so d1, d2 and d1 | d2 each need a
     # vanishing edge
-    pairs = ps & ((a | b) != full)
-    p1, p2 = a[pairs], b[pairs]
-    c1, c2 = cross[p1], cross[p2]
-    sets = np.concatenate([c1 & ~c2, c2 & ~c1, c1 & c2], axis=1)
-    z1, z2, z12 = zero[d1], zero[d2], zero[d12]
-    keep = z1.any(axis=1) & z2.any(axis=1) & z12.any(axis=1)
-    i, k = _covering(sets, np.concatenate([z1, z2, z12], axis=1)[keep])
-    split = np.stack([p1[i], p2[i], d1[keep][k], d2[keep][k]], axis=1)
-    return np.concatenate([whole, split])
+    keep = vanish[d1] & vanish[d2] & vanish[d12]
+    d1, d2, d12 = d1[keep], d2[keep], d12[keep]
+    i, k = _covering(sets, np.concatenate([zero[d1], zero[d2], zero[d12]], axis=1))
+    found.append(np.stack([p1[i], p2[i], d1[k], d2[k]], axis=1))
+    return np.concatenate(found)
 
 
 def _in_index_order(found, n):
@@ -324,7 +420,7 @@ def _in_index_order(found, n):
     their index lists, and its rows as indices into them sorted column by
     column: finder order."""
     values, inv = np.unique(found, return_inverse=True)
-    rows = ((values[:, None] >> np.arange(n)[None, :]) & 1).astype(np.int8)
+    rows = _mask_rows(values, n)
     # each index list padded with -1, which sorts before any index, so a
     # lexsort of the padded lists is Python's list order
     padded = np.sort(np.where(rows == 1, np.arange(n), n), axis=1)
@@ -332,6 +428,25 @@ def _in_index_order(found, n):
     order = np.lexsort(padded.T[::-1])
     keys = np.argsort(order)[inv.reshape(found.shape)]
     return rows[order], keys[np.lexsort(keys.T[::-1])]
+
+
+def _new_specs(cls, u, rows, keys, residuals):
+    """A cls spec on u per (key, residual), with the masks rows[k] for k in
+    key: the instance cls(u, *masks, residual) builds, filled field by field
+    into its __dict__ instead of by the frozen __init__'s object.__setattr__
+    per field, which took most of the exact filter's time."""
+    names = _mask_fields(cls)
+    new = object.__new__
+    out = []
+    for key, r in zip(keys, residuals):
+        spec = new(cls)
+        fields = spec.__dict__
+        fields["base"] = u
+        for name, k in zip(names, key):
+            fields[name] = rows[k]
+        fields["residual"] = r
+        out.append(spec)
+    return out
 
 
 def _find(u, policy, cap, scan, spec, name):
@@ -355,13 +470,17 @@ def _find(u, policy, cap, scan, spec, name):
     rows = list(masks)
     half = keys.shape[1] // 2
     step = (1 << 15) // (n * n)
+    # each chunk's s and q are gathered into the same two buffers, which
+    # stay in cache (keys index the distinct masks, so no index is clipped)
+    s = np.empty((min(step, len(keys)), half, n, n))
+    q = np.empty(s.shape, dtype=np.complex128)
     out = []
     for lo in range(0, len(keys), step):
         chunk = keys[lo:lo + step]
-        res = _residuals(diffs[chunk[:, :half]], projs[chunk[:, half:]])
+        res = _residuals(np.take(diffs, chunk[:, :half], axis=0, out=s[:len(chunk)], mode="clip"),
+                         np.take(projs, chunk[:, half:], axis=0, out=q[:len(chunk)], mode="clip"))
         kept = res <= tol
-        out += [spec(u, *[rows[k] for k in key], r)
-                for key, r in zip(chunk[kept].tolist(), res[kept].tolist())]
+        out += _new_specs(spec, u, rows, chunk[kept].tolist(), res[kept].tolist())
     return out
 
 

@@ -7,6 +7,7 @@ the quadratic-residue circulant of Bjorck type at n=7) and Petrescu's 7x7
 one-parameter family.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,11 +46,22 @@ def _order(n):
         raise ValueError("order must be >= 1")
 
 
+@contextmanager
+def _allocating(n):
+    """Turn a failed allocation while an order-n matrix is built into a
+    ValueError that names the order."""
+    try:
+        yield
+    except MemoryError:
+        raise ValueError(f"order {n} is too large: its matrices do not fit in memory") from None
+
+
 def fourier(n):
     """Order-n Fourier biunitary: entry (i,j) = eps^(i*j)/sqrt(n), eps = e^(2*pi*i/n)."""
     _order(n)
-    k = np.arange(n)
-    return np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
+    with _allocating(n):
+        k = np.arange(n)
+        return np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
 
 
 def verify_biunitary(u, policy=DEFAULT_POLICY):
@@ -144,11 +156,12 @@ def qr_circulant(n, a="solve", policy=DEFAULT_POLICY):
     _order(n)
     if not is_prime(n):
         raise ValueError(f"n={n} is not prime")
-    if isinstance(a, str):
-        if a != "solve":
-            raise ValueError(f"unknown mode {a!r}")
-        a = _solve_qr_phase(n)
-    u = circulant(_qr_row(n, a))
+    with _allocating(n):
+        if isinstance(a, str):
+            if a != "solve":
+                raise ValueError(f"unknown mode {a!r}")
+            a = _solve_qr_phase(n)
+        u = circulant(_qr_row(n, a))
     _require_biunitary(u, policy, "qr_circulant matrix")
     return u
 

@@ -42,8 +42,9 @@ class SearchConfig:
     rng_seed when omitted. The masks are 0/1 vectors of length n >= 1, stored
     as float64; p1/p2 and p3/p4 must be exactly disjoint (they may be empty,
     which reduces the objective to the unitarity term). n, max_iters and
-    rng_seed must be integers (not bool), max_iters at least 1, seed_phases
-    finite, step0 a finite real > 0, tol_obj a finite real >= 0.
+    rng_seed must be integers (not bool), max_iters at least 1, rng_seed at
+    least 0, seed_phases finite, step0 a finite real > 0, tol_obj a finite
+    real >= 0.
     """
 
     n: int
@@ -76,6 +77,8 @@ class SearchConfig:
             object.__setattr__(self, "seed_phases", s)
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if not 0 < _number(self.step0, "step0", float) < np.inf:
             raise ValueError(f"step0 must be finite and > 0, got {self.step0}")
         if not 0 <= _number(self.tol_obj, "tol_obj", float) < np.inf:

@@ -521,13 +521,15 @@ class TestBadInput(_CliRuns):
         (["family", "f4.mat", "--spec", "f4_spec.json", "--param", "1.3", "--tol-entry", "1e-300"],
          "modulus deviation"),
         (["gen", "circulant", "--row", "empty_row.txt"], "circulant row must be non-empty"),
+        (["search", "--n", "4", "--masks", ";;;", "--seed", "-1"], "rng_seed must be >= 0"),
+        (["gen", "fourier", "--n", "1000000000000"], "order 1000000000000 is too large"),
     ]
 
     @pytest.mark.parametrize("args, cause", CAUSES, ids=[
         "gen-option-before-kind", "gen-foreign-option", "pairs-block-capped", "pairs-commuting-capped",
         "undecodable-file", "deep-spec", "non-finite-result", "certify-non-finite",
         "pairs-non-finite", "spec-missing-mask", "family-non-finite", "family-modulus-only",
-        "circulant-empty-row"])
+        "circulant-empty-row", "search-negative-seed", "gen-huge-order"])
     def test_usage_error_names_cause(self, args, cause, run):
         # one error line naming the cause, and no numpy warning before it
         code, out, err = run(args)

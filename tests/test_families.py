@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import subprocess
 import sys
@@ -738,6 +739,42 @@ def test_covering_is_the_brute_subset_test(words, rng):
     assert len(set(map(bytes, rows))) < len(rows)
     if words > 1:
         assert sum(not (s[0] & ~row[0]) for s in sets for row in rows) > len(want)
+    # many distinct rows on few word-0 values: a word-0 hit expands to a
+    # whole group and the later words decide
+    sets, rows = _grouped_pool(rng, words)
+    i, r = _covering(sets, rows)
+    assert list(zip(i.tolist(), r.tolist())) == _covering_order(sets, rows)
+    assert sorted(zip(i.tolist(), r.tolist())) == _brute_covering(sets, rows)
+    if words > 1:
+        assert len(set(rows[:, 0].tolist())) <= 4 < len(set(map(bytes, rows)))
+        assert ~np.uint64(0) in rows[:, 0]
+        assert sum(not (s[0] & ~row[0]) for s in sets for row in rows) > len(i) > 0
+
+
+def _grouped_pool(rng, words):
+    """Sets and rows for _covering: 60 rows drawn from 30 distinct ones on at
+    most four word-0 values, one of them all ones; sets are subsets of rows
+    with one word (for words > 1 a later one) spoiled, and a few sparse sets."""
+    def draw(shape, density):
+        flags = rng.random((*shape, 64)) < density
+        return np.packbits(flags, axis=-1, bitorder="little").view(np.uint64).reshape(shape)
+
+    pool = draw((30, words), 0.7)
+    pool[:, 0] = draw((3, 1), 0.6)[rng.integers(0, 3, 30), 0]
+    pool[:10, 0] = ~np.uint64(0)
+    rows = pool[rng.integers(0, len(pool), 60)]
+    sets = rows[rng.integers(0, len(rows), 100)] & draw((100, words), 0.3)
+    w = rng.integers(1 if words > 1 else 0, words, 100)
+    sets[np.arange(100), w] |= np.uint64(1) << rng.integers(0, 64, 100).astype(np.uint64)
+    return np.concatenate([sets, draw((30, words), 0.05)]), rows
+
+
+def _covering_order(sets, rows):
+    """The covering pairs in _covering's order: by set, then by row in a
+    lexsort of the rows (last word first), then by row index."""
+    rank = np.empty(len(rows), dtype=np.intp)
+    rank[np.lexsort(rows.T)] = np.arange(len(rows))
+    return sorted(_brute_covering(sets, rows), key=lambda ir: (ir[0], rank[ir[1]]))
 
 
 def test_covering_cap(monkeypatch):
@@ -751,25 +788,95 @@ def test_covering_cap(monkeypatch):
         _covering(sets, rows)
 
 
+@pytest.mark.parametrize("step", [1, 5, 64])
+@pytest.mark.parametrize("words", [1, 3])
+def test_covering_in_small_steps(step, words, monkeypatch, rng):
+    # a step of a few elements puts one or a few sets in a chunk and cuts the
+    # word-0 hits into pieces of a few pairs (empty pieces too, when a group
+    # is larger than a step): the pairs and their order stay the same
+    sets, rows = _grouped_pool(rng, words)
+    want = list(zip(*_covering(sets, rows)))
+    monkeypatch.setattr(families, "_STEP", step)
+    i, r = _covering(sets, rows)
+    assert list(zip(i, r)) == want == [tuple(x) for x in _covering_order(sets, rows)]
+
+
 @pytest.mark.parametrize("n", [12, 14])
 @pytest.mark.parametrize("scrambled", [False, True], ids=["plain", "scrambled"])
 def test_commuting_tables_are_rows_of_the_full_table(n, scrambled, monkeypatch, rng):
     # the commuting finder tabulates only the canonical masks; each of its
-    # rows must be the matching row of the table over every mask, bit for bit
+    # zero rows must be the matching row of the table over every mask, bit for
+    # bit, and so must each cross row of the order's commuting plan
     u = brute.random_equivalence_move(fourier(n), rng) if scrambled else fourier(n)
     calls = []
 
-    def recording(u, tol, masks):
-        calls.append((masks, *_edge_tables(u, tol, masks)))
-        return calls[-1][1:]
+    def recording(u, tol, rows):
+        calls.append((rows, _edge_tables(u, tol, rows)))
+        return calls[-1][1]
 
     monkeypatch.setattr(families, "_edge_tables", recording)
     assert len(find_commuting_pairs(u)) == {12: 97, 14: 126}[n]
-    (masks, zero, cross), = calls
-    assert masks.tolist() == list(range(2, (1 << n) - 1, 2))
-    full_zero, full_cross = _edge_tables(u, DEFAULT_POLICY.tol_unitary, np.arange(1 << n))
+    (rows, zero), = calls
+    masks = np.arange(2, (1 << n) - 1, 2)
+    every = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.int8)
+    assert np.array_equal(rows, every[masks])
+    full_zero = _edge_tables(u, DEFAULT_POLICY.tol_unitary, every)
     assert np.array_equal(zero, full_zero[masks])
-    assert np.array_equal(cross, full_cross[masks])
+    canon, _, cross = families._commuting_plan(n)
+    assert canon.tolist() == masks.tolist()
+    assert np.array_equal(cross, families._cross(every)[masks])
+
+
+PLANS = (families._edges, families._commuting_plan, families._block_plan)
+
+
+def test_scan_plans_are_read_only_and_change_nothing():
+    # the per-order plans are built once and shared by every call: writing to
+    # one raises, and the finders give the same output from a cold cache as
+    # from a warm one
+    inputs = [fourier(6), petrescu(1.0), np.kron(fourier(2), fourier(4)),
+              brute.random_equivalence_move(fourier(9), np.random.default_rng(9))]
+
+    def run():
+        return [(_rows(find_block_pairs(u)), _rows(find_commuting_pairs(u))) for u in inputs]
+
+    for plan in PLANS:
+        plan.cache_clear()
+    cold = run()
+    assert all(plan.cache_info().currsize == 4 for plan in PLANS)
+    assert run() == cold and cold[0][0] and cold[1][0]
+    assert all(plan.cache_info().hits >= 4 for plan in PLANS)
+    for n in (6, 9):
+        arrays = [a for plan in PLANS for a in plan(n)]
+        assert len(arrays) == 14
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+        assert all(plan(n) is plan(n) for plan in PLANS)
+
+
+@pytest.mark.parametrize("find, u", [
+    (find_commuting_pairs, np.kron(fourier(2), fourier(4))),
+    (find_block_pairs, petrescu(1.0)),
+], ids=["constr1", "constr2"])
+def test_finder_specs_are_constructor_specs(find, u):
+    # the finders fill each spec's fields straight into its __dict__; each
+    # must be the spec the class constructor builds from the same fields
+    specs = find(u)
+    assert specs
+    for spec in specs:
+        cls = type(spec)
+        names = [f.name for f in dataclasses.fields(cls)]
+        built = cls(*(getattr(spec, name) for name in names))
+        assert list(vars(spec)) == list(vars(built)) == names
+        assert all(getattr(spec, name) is getattr(built, name) for name in names)
+        assert spec.residual.hex() == built.residual.hex()
+        assert type(spec.residual) is float
+        assert repr(spec) == repr(built)
+        assert repr(dataclasses.replace(spec, residual=0.5)) == repr(
+            dataclasses.replace(built, residual=0.5))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.residual = 0.0
 
 
 # The finders' output on a fixed corpus, frozen: per input the witness count

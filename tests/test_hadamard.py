@@ -49,6 +49,12 @@ class TestFourier:
     def test_numpy_integer_order(self):
         assert np.array_equal(fourier(np.int64(5)), fourier(5))
 
+    def test_unallocatable_order_is_a_value_error(self):
+        # its index vector alone would take 7.3 TiB: the allocation fails at
+        # once, and the error names the order instead of escaping as MemoryError
+        with pytest.raises(ValueError, match=f"order {10**12} is too large"):
+            fourier(10**12)
+
 
 class TestVerifyBiunitary:
     def test_identity_fails(self):
@@ -157,6 +163,13 @@ class TestQrCirculant:
     def test_rejects_non_integer_order(self, n):
         with pytest.raises(ValueError, match="order must be an integer"):
             qr_circulant(n)
+
+    @pytest.mark.parametrize("a", ["solve", 1j])
+    def test_unallocatable_order_is_a_value_error(self, a):
+        # 10^12 + 39 is prime; its first row alone would take 7.3 TiB or more
+        n = 10**12 + 39
+        with pytest.raises(ValueError, match=f"order {n} is too large"):
+            qr_circulant(n, a)
 
     def test_no_solution_reported(self):
         # the residue pattern admits no unimodular completion at n = 13

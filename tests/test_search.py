@@ -101,6 +101,13 @@ class TestObjective:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             SearchConfig(p1=[0] * 4, p2=[0] * 4, p3=[0] * 4, p4=[0] * 4, **kw)
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-5)])
+    def test_config_rejects_negative_seed(self, seed):
+        # numpy's default_rng would fail later, in local_search, naming no field
+        with pytest.raises(ValueError, match="rng_seed must be >= 0"):
+            zero_cfg(4, rng_seed=seed)
+        assert zero_cfg(4, rng_seed=0).rng_seed == 0
+
     @pytest.mark.parametrize("field, value", [("step0", "a"), ("tol_obj", None), ("step0", 1j)])
     def test_config_rejects_non_reals(self, field, value):
         # a ValueError naming the field, not a TypeError from a comparison
