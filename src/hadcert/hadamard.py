@@ -7,7 +7,6 @@ the quadratic-residue circulant of Bjorck type at n=7) and Petrescu's 7x7
 one-parameter family.
 """
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,22 +45,27 @@ def _order(n):
         raise ValueError("order must be >= 1")
 
 
-@contextmanager
-def _allocating(n):
-    """Turn a failed allocation while an order-n matrix is built into a
-    ValueError that names the order."""
+def _allocate(n):
+    """An uninitialised n x n complex matrix. A failed allocation, which numpy
+    reports as MemoryError or, past the largest array size, as ValueError,
+    becomes a ValueError that names the order."""
     try:
-        yield
-    except MemoryError:
+        return np.empty((n, n), dtype=np.complex128)
+    except (MemoryError, ValueError):
         raise ValueError(f"order {n} is too large: its matrices do not fit in memory") from None
 
 
 def fourier(n):
-    """Order-n Fourier biunitary: entry (i,j) = eps^(i*j)/sqrt(n), eps = e^(2*pi*i/n)."""
+    """Order-n Fourier biunitary: entry (i,j) = eps^(i*j)/sqrt(n), eps = e^(2*pi*i/n),
+    allocated before any other work so that an unbuildable order fails at once."""
     _order(n)
-    with _allocating(n):
-        k = np.arange(n)
-        return np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
+    u = _allocate(n)
+    k = np.arange(n)
+    np.outer(k, k, out=u)
+    np.multiply(2j * np.pi, u, out=u)
+    np.divide(u, n, out=u)
+    np.exp(u, out=u)
+    return np.divide(u, np.sqrt(n), out=u)
 
 
 def verify_biunitary(u, policy=DEFAULT_POLICY):
@@ -104,9 +108,16 @@ def circulant(row):
         raise ValueError(f"a circulant row must be non-empty and 1-D, got shape {row.shape}")
     if not np.all(np.isfinite(row)):
         raise ValueError("circulant row entries must be finite")
+    return _circulant_into(_allocate(row.size), row)
+
+
+def _circulant_into(u, row):
+    """Fill the n x n matrix u with the circulant of row and return it."""
     n = row.size
-    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return row[(j - i) % n]
+    for i in range(n):
+        u[i, :i] = row[n - i:]
+        u[i, i:] = row[:n - i]
+    return u
 
 
 def quadratic_residues(n):
@@ -143,66 +154,51 @@ def bjorck7():
 
 def qr_circulant(n, a="solve", policy=DEFAULT_POLICY):
     """Circulant with 1/sqrt(n) on the quadratic residues mod n and a/sqrt(n)
-    on the rest.
+    on the rest, for a prime n.
 
-    With a="solve" the unimodular value a is a zero of the unitarity defect,
-    taken from the unimodular roots of one quartic (see _solve_qr_phase);
-    between the conjugate pair of zeros the one with Im a > 0 is returned.
-    Zeros exist for the primes n = 3 (mod 4), where a = (1 - n + 2i sqrt(n))
-    / (n + 1), and for no other prime below 200. Raises if n is not prime, or
-    if no unimodular solution exists (the smallest residual is reported); the
-    returned matrix always passes verify_biunitary.
+    a is a finite complex number, or "solve" for the unimodular value that
+    makes the matrix unitary, a = (1 - n + 2i sqrt(n)) / (n + 1): it exists
+    exactly for the primes n = 3 (mod 4) (see _solve_qr_phase). The result
+    is allocated before any O(n) work, so an unbuildable order fails at once.
+    Raises if n is not prime or has no solution; the returned matrix always
+    passes verify_biunitary.
     """
     _order(n)
     if not is_prime(n):
         raise ValueError(f"n={n} is not prime")
-    with _allocating(n):
-        if isinstance(a, str):
-            if a != "solve":
-                raise ValueError(f"unknown mode {a!r}")
-            a = _solve_qr_phase(n)
-        u = circulant(_qr_row(n, a))
+    if isinstance(a, str):
+        if a != "solve":
+            raise ValueError(f"unknown mode {a!r}")
+        a = _solve_qr_phase(n)
+    else:
+        a = _number(a, "a", complex)
+        if not np.isfinite(a):
+            raise ValueError(f"a must be finite, got {a!r}")
+    u = _allocate(n)
+    _circulant_into(u, _qr_row(n, a))
     _require_biunitary(u, policy, "qr_circulant matrix")
     return u
 
 
 def _solve_qr_phase(n):
-    """Unimodular a minimising f(z) = ||S(z) S(z)* - I||_F^2, z = a on |z| = 1.
+    """For a prime n, the unimodular a with Im a > 0 that makes the order-n
+    quadratic-residue circulant unitary: (1 - n + 2i sqrt(n)) / (n + 1) for
+    n = 3 (mod 4), and a ValueError for every other prime.
 
-    With S(z) = B + z C, the defect matrix is base + z CB + conj(z) BC, so f
-    is a degree-2 trigonometric polynomial a0 + 2 Re(a1 z + a2 z^2). Its
-    critical points on the circle (z = e^{i phi}) are the unimodular roots of
-    the quartic z^2 (df/dphi) / i = 2 a2 z^4 + a1 z^3 - conj(a1) z - 2 conj(a2),
-    found with np.roots. The defect is evaluated at each; roots with defect
-    <= 1e-18 are zeros, and raising otherwise reports the smallest defect
-    found. B and C are real, so zeros come in conjugate pairs with equal
-    defect; the one with Im a > 0 is returned, as in bjorck7.
+    Proof. The circulant is unitary iff each eigenvalue lambda_k = sum_j
+    row_j w^(jk), w = e^(2 pi i/n), has modulus 1. With chi the Legendre
+    symbol and G = sum_j chi(j) w^j the Gauss sum (sqrt(n) for n = 1 mod 4,
+    i sqrt(n) for n = 3 mod 4), sqrt(n) lambda_0 = ((n+1) + a(n-1))/2 and,
+    for k != 0, sqrt(n) lambda_k = (1 + chi(k) G)(1 - a)/2. Both signs of
+    chi occur, so n = 1 (mod 4) has no solution, as |1 + sqrt(n)| != |1 -
+    sqrt(n)|; n = 2 has no non-residue, and its circulant is singular. For
+    n = 3 (mod 4), |1 +- i sqrt(n)|^2 = n + 1 forces |1 - a|^2 = 4n/(n + 1),
+    so Re a = (1 - n)/(n + 1) and Im a = +-2 sqrt(n)/(n + 1); then
+    |(n+1) + a(n-1)|^2 = (n+1)^2 - (n-1)^2 = 4n, and lambda_0 is unimodular.
     """
-    ones = np.zeros(n)
-    ones[quadratic_residues(n)] = 1.0
-    B = circulant(ones) / np.sqrt(n)
-    C = circulant(1.0 - ones) / np.sqrt(n)
-    base = B @ B.T + C @ C.T - np.eye(n)
-    CB = C @ B.T
-    BC = B @ C.T
-
-    def defect(z):
-        r = base + z * CB + np.conj(z) * BC
-        return float(np.real(np.sum(r * np.conj(r))))
-
-    a1 = np.sum(CB * np.conj(base) + base * np.conj(BC))
-    a2 = np.sum(CB * np.conj(BC))
-    roots = np.roots([2.0 * a2, a1, 0.0, -np.conj(a1), -2.0 * np.conj(a2)])
-    on_circle = [z / abs(z) for z in roots if abs(abs(z) - 1.0) <= 1e-6]
-    scored = [(defect(z), z) for z in on_circle]
-    zeros = [(val, z) for val, z in scored if val <= 1e-18]
-    if not zeros:
-        best_val = min((val for val, _ in scored), default=np.inf)
-        raise ValueError(
-            f"no unimodular circulant value found for n={n} "
-            f"(best squared residual {best_val:.3e})"
-        )
-    return min(zeros, key=lambda vz: (vz[1].imag <= 0.0, vz[0]))[1]
+    if n % 4 != 3:
+        raise ValueError(f"no unimodular circulant value exists for n={n}")
+    return complex((1 - n) / (n + 1), 2 * np.sqrt(n) / (n + 1))
 
 
 _PETRESCU_POWERS = np.array(
@@ -225,7 +221,7 @@ def petrescu(lam, policy=DEFAULT_POLICY):
     cols 0-1) block carries lambda, the (rows 2-3 x cols 2-3) block carries
     conj(lambda), the last row and column of the power table are w^0.
     """
-    lam = complex(lam)
+    lam = _number(lam, "lambda", complex)
     if not abs(abs(lam) - 1.0) <= policy.tol_entry:
         raise ValueError(f"|lambda| = {abs(lam)} is not 1 within tolerance")
     w = np.exp(2j * np.pi / 6)

@@ -113,6 +113,10 @@ class TestGen:
         u = parse_matrix(out)
         assert np.max(np.abs(np.abs(u) - 1 / np.sqrt(7))) < 1e-12
 
+    def test_qr_circulant_solve_is_bjorck7(self):
+        # the closed form at n = 7 is Bjorck's value to the last bit
+        assert run_cli(["gen", "qr-circulant", "--n", "7"])[:2] == run_cli(["gen", "bjorck7"])[:2]
+
     def test_phase_format(self):
         code, out, _ = run_cli(["gen", "fourier", "--n", "5", "--format", "phase"])
         assert code == 0

@@ -1,3 +1,7 @@
+import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -16,6 +20,8 @@ from hadcert import (
     verify_biunitary,
 )
 from hadcert.hadamard import BJORCK7_A, quadratic_residues
+
+PRIMES = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
 
 
 def f4(a):
@@ -176,19 +182,86 @@ class TestQrCirculant:
         with pytest.raises(ValueError, match="no unimodular"):
             qr_circulant(13, "solve")
 
-    @pytest.mark.parametrize("p", [3, 7, 11, 19, 23, 31, 43])
+    def test_solve_is_bjorck7(self):
+        # the closed form at n = 7 is BJORCK7_A to the last bit
+        assert qr_circulant(7).tobytes() == bjorck7().tobytes()
+
+    @pytest.mark.parametrize("p", [p for p in PRIMES if p % 4 == 3])
     def test_solve_matches_closed_form(self, p):
-        # Gauss-sum value of Bjorck's construction for p = 3 (mod 4); the
-        # solver must pick the root with Im a > 0 out of the conjugate pair
+        # Gauss-sum value of Bjorck's construction for p = 3 (mod 4), the
+        # root with Im a > 0 of the conjugate pair. A circulant's eigenvalues
+        # are the DFT of its first row, so unimodular DFT moduli show that it
+        # is unitary independently of how a was derived
+        u = qr_circulant(p, "solve")
         j = next(j for j in range(p) if j not in quadratic_residues(p))
-        a = qr_circulant(p, "solve")[0, j] * np.sqrt(p)
+        a = u[0, j] * np.sqrt(p)
         assert abs(a - (1 - p + 2j * np.sqrt(p)) / (p + 1)) < 1e-14
         assert a.imag > 0
+        assert np.max(np.abs(np.abs(np.fft.fft(u[0])) - 1.0)) < 1e-13
 
-    @pytest.mark.parametrize("p", [5, 17, 29])  # 13: test_no_solution_reported
+    @pytest.mark.parametrize("p", [p for p in PRIMES if p % 4 != 3])
     def test_no_solution_one_mod_four(self, p):
+        # 2 and every prime p = 1 (mod 4)
         with pytest.raises(ValueError, match="no unimodular"):
             qr_circulant(p, "solve")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a, cause", [
+        (None, "a must be a complex number, got None"),
+        ([1, 2], r"a must be a complex number, got \[1, 2\]"),
+        (True, "a must be a complex number, got True"),
+        (complex("inf"), "a must be finite"),
+        (complex("nan"), "a must be finite"),
+    ], ids=["None", "list", "True", "inf", "nan"])
+    def test_names_a_bad_value(self, a, cause):
+        # one ValueError that names a, before any numpy warning
+        with pytest.raises(ValueError, match=cause):
+            qr_circulant(7, a)
+
+
+# Runs one call in a child whose address space is capped at 3 GB, and reports
+# its outcome, the time the call took and the child's peak RSS as JSON.
+REFUSAL_CHILD = """
+import contextlib, io, json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from hadcert import fourier, qr_circulant
+from hadcert.cli import main
+out = io.StringIO()
+start = time.perf_counter()
+try:
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        outcome = eval(sys.argv[1])
+except ValueError as exc:
+    outcome = str(exc)
+seconds = time.perf_counter() - start
+outcome = outcome if isinstance(outcome, (int, str)) else type(outcome).__name__
+print(json.dumps({"outcome": outcome, "stdout": out.getvalue(), "seconds": seconds,
+                  "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+"""
+
+
+@pytest.mark.parametrize("call, outcome", [
+    ("fourier(10**8)", "order 100000000 is too large"),
+    ("fourier(10**12)", "order 1000000000000 is too large"),
+    ("qr_circulant(10**7 + 19)", "order 10000019 is too large"),
+    ("qr_circulant(10**8 + 7)", "order 100000007 is too large"),
+    ("main(['gen', 'fourier', '--n', '100000000'])", 2),
+    ("main(['gen', 'qr-circulant', '--n', '10000019'])", 2),
+], ids=["fourier-1e8", "fourier-1e12", "qr-1e7+19", "qr-1e8+7", "gen-fourier-1e8", "gen-qr-1e7+19"])
+def test_unbuildable_order_is_refused_before_any_work(call, outcome):
+    # the n x n result is allocated first, and fails at once at these orders:
+    # nothing of size n is built before it
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", REFUSAL_CHILD, call], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    if isinstance(outcome, str):
+        assert outcome in report["outcome"]
+    else:
+        assert (report["outcome"], report["stdout"]) == (outcome, "")
+    assert report["seconds"] < 0.1
+    assert report["maxrss_mb"] < 100
 
 
 class TestPetrescu:
@@ -222,6 +295,12 @@ class TestPetrescu:
         for lam in (complex("nan+0j"), np.exp(1j * np.nan)):
             with pytest.raises(ValueError, match="not 1"):
                 petrescu(lam)
+
+    @pytest.mark.parametrize("lam", [None, True, "1", [1.0]], ids=["None", "True", "str-1", "list"])
+    def test_names_a_bad_lambda(self, lam):
+        # "1" and True used to be accepted through complex()
+        with pytest.raises(ValueError, match="lambda must be a complex number, got "):
+            petrescu(lam)
 
 
 class TestDephase:
