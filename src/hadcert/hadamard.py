@@ -29,9 +29,6 @@ __all__ = [
 # equivalent backtracks over row and column matchings, exponential in n
 EQUIVALENT_CAP = 8
 
-BJORCK7_A = -0.75 + 1j * np.sqrt(7.0) / 4.0
-
-
 @dataclass(frozen=True)
 class BiunitaryVerdict:
     is_biunitary: bool
@@ -144,12 +141,12 @@ def _qr_row(n, a):
 
 
 def bjorck7():
-    """The order-7 quadratic-residue circulant biunitary.
+    """The order-7 quadratic-residue circulant biunitary, qr_circulant(7).
 
-    First row (1,1,1,a,1,a,a)/sqrt(7) with a = -3/4 + i*sqrt(7)/4: value 1 at
-    positions {0} u QR(7) = {0,1,2,4}, a elsewhere.
+    First row (1,1,1,a,1,a,a)/sqrt(7) with a = BJORCK7_A = -3/4 + i*sqrt(7)/4:
+    value 1 at positions {0} u QR(7) = {0,1,2,4}, a elsewhere.
     """
-    return circulant(_qr_row(7, BJORCK7_A))
+    return qr_circulant(7)
 
 
 def qr_circulant(n, a="solve", policy=DEFAULT_POLICY):
@@ -159,22 +156,23 @@ def qr_circulant(n, a="solve", policy=DEFAULT_POLICY):
     a is a finite complex number, or "solve" for the unimodular value that
     makes the matrix unitary, a = (1 - n + 2i sqrt(n)) / (n + 1): it exists
     exactly for the primes n = 3 (mod 4) (see _solve_qr_phase). The result
-    is allocated before any O(n) work, so an unbuildable order fails at once.
+    is allocated before any O(sqrt n) or O(n) work: big orders fail at once.
     Raises if n is not prime or has no solution; the returned matrix always
     passes verify_biunitary.
     """
     _order(n)
-    if not is_prime(n):
-        raise ValueError(f"n={n} is not prime")
     if isinstance(a, str):
         if a != "solve":
             raise ValueError(f"unknown mode {a!r}")
-        a = _solve_qr_phase(n)
     else:
         a = _number(a, "a", complex)
         if not np.isfinite(a):
             raise ValueError(f"a must be finite, got {a!r}")
     u = _allocate(n)
+    if not is_prime(n):
+        raise ValueError(f"n={n} is not prime")
+    if a == "solve":
+        a = _solve_qr_phase(n)
     _circulant_into(u, _qr_row(n, a))
     _require_biunitary(u, policy, "qr_circulant matrix")
     return u
@@ -199,6 +197,9 @@ def _solve_qr_phase(n):
     if n % 4 != 3:
         raise ValueError(f"no unimodular circulant value exists for n={n}")
     return complex((1 - n) / (n + 1), 2 * np.sqrt(n) / (n + 1))
+
+
+BJORCK7_A = _solve_qr_phase(7)
 
 
 _PETRESCU_POWERS = np.array(

@@ -6,6 +6,7 @@ path with the library routines it cross-checks.
 """
 
 import itertools
+from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -139,6 +140,112 @@ def gcd_sum_rank(n):
     the kernel dimension is sum_{s mod n} gcd(s, n) (chains of equal
     coefficients split into gcd(s, n) classes), so the rank is n^2 minus it."""
     return n * n - sum(gcd(s, n) for s in range(n))
+
+
+def _poly_divmod(num, den):
+    """Quotient and remainder of integer polynomials, coefficient lists lowest
+    degree first, by a monic divisor."""
+    num = list(num)
+    quot = [0] * max(len(num) - len(den) + 1, 0)
+    for s in reversed(range(len(quot))):
+        c = quot[s] = num[s + len(den) - 1]
+        for t, b in enumerate(den):
+            num[s + t] -= c * b
+    return quot, num[:len(den) - 1]
+
+
+def cyclotomic(n):
+    """Coefficients of the n-th cyclotomic polynomial, lowest degree first:
+    x^n - 1 divided exactly by Phi_d for every proper divisor d of n."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            poly, rem = _poly_divmod(poly, cyclotomic(d))
+            assert not any(rem), (n, d)
+    return poly
+
+
+def _bareiss_rank(rows):
+    """Rank of an integer matrix, given as a list of rows, by fraction-free
+    (Bareiss) elimination on Python ints. Every entry after a step is a minor
+    of the input, so each division by the previous pivot is exact; the
+    remainder is asserted to be 0. Rows that become zero are dropped, and a
+    column with no pivot is skipped."""
+    rows = [r for r in rows if any(r)]
+    prev, rank = 1, 0
+    while rows and rows[0]:
+        pivot = next((r for r in rows if r[0]), None)
+        if pivot is None:
+            rows = [r[1:] for r in rows]
+            continue
+        p, tail = pivot[0], pivot[1:]
+        reduced = []
+        for r in rows:
+            if r is pivot:
+                continue
+            f, out = r[0], []
+            for x, y in zip(r[1:], tail):
+                q, rem = divmod(x * p - f * y, prev)
+                assert rem == 0, "inexact Bareiss division"
+                out.append(q)
+            if any(out):
+                reduced.append(out)
+        rows, prev, rank = reduced, p, rank + 1
+    return rank
+
+
+def exact_fourier_span_rank(n):
+    """The span rank of the order-n Fourier matrix in exact arithmetic, with
+    no numpy and no hadcert.
+
+    The unnormalised span matrix has A[(i,j),(k,l)] = (d_ik - d_il)
+    zeta^(j(l-k)), zeta = e^(2 pi i/n), with entries in Q(zeta) of degree
+    phi(n). Each entry +-zeta^e becomes the phi(n) x phi(n) integer matrix
+    of multiplication by it in the power basis of Q(zeta) = Q[x]/Phi_n: +-C^e
+    for the companion matrix C of Phi_n. The rational rank of that integer
+    matrix is phi(n) times the rank of A over Q(zeta), which is its complex
+    rank."""
+    phi = cyclotomic(n)
+    d = len(phi) - 1
+    # C sends x^k to x^(k+1), and x^(d-1) to x^d = -(phi_0 + ... + phi_(d-1) x^(d-1))
+    comp = [[int(r == k + 1) if k < d - 1 else -phi[r] for k in range(d)] for r in range(d)]
+    powers = [[[int(r == k) for k in range(d)] for r in range(d)]]
+    for _ in range(n):
+        last = powers[-1]
+        powers.append([[sum(comp[r][m] * last[m][k] for m in range(d)) for k in range(d)]
+                       for r in range(d)])
+    assert powers[n] == powers[0], "C^n is not the identity"
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            block = [[] for _ in range(d)]
+            for k in range(n):
+                for l in range(n):
+                    sign = (i == k) - (i == l)
+                    power = powers[j * (l - k) % n]
+                    for r in range(d):
+                        block[r] += [sign * x for x in power[r]]
+            rows += block
+    rank = _bareiss_rank(rows)
+    assert rank % d == 0, (n, rank, d)
+    return rank // d
+
+
+def _arctan_inverse(x, one):
+    """arctan(1/x) scaled by one, an integer, by its Taylor series in integer
+    arithmetic; each of its terms is off by less than 1."""
+    total, power, k = 0, one // x, 0
+    while power:
+        total += (-1) ** k * (power // (2 * k + 1))
+        power //= x * x
+        k += 1
+    return total
+
+
+# pi to about 100 digits by Machin's formula, pi/4 = 4 arctan(1/5) -
+# arctan(1/239), in integers: a Fraction, exact to within 1e-97
+_ONE = 10 ** 100
+PI = Fraction(16 * _arctan_inverse(5, _ONE) - 4 * _arctan_inverse(239, _ONE), _ONE)
 
 
 def fd_gradient(theta, cfg, h=1e-6):

@@ -4,9 +4,9 @@ import subprocess
 import sys
 import warnings
 import zlib
+from fractions import Fraction
 from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -186,9 +186,9 @@ class TestConstr1:
     @pytest.mark.parametrize("big_t", [1e6, 1e9, 1e12, 1e15])
     def test_large_t_is_the_reduced_angle(self, big_t):
         # the family is 2*pi-periodic: a member far out is the member at the
-        # angle reduced to [0, 2*pi), which mpmath gives to 40 digits
-        with mpmath.workdps(40):
-            t = float(mpmath.fmod(big_t, 2 * mpmath.pi))
+        # angle reduced to [0, 2*pi) exactly, with pi from Machin's formula
+        assert float(brute.PI) == np.pi
+        t = float(Fraction(big_t) % (2 * brute.PI))
         for spec in find_commuting_pairs(fourier(4)) + find_commuting_pairs(fourier(12))[::10]:
             v = constr1_family(spec, big_t)
             assert verify_biunitary(v).is_biunitary

@@ -183,8 +183,13 @@ class TestQrCirculant:
             qr_circulant(13, "solve")
 
     def test_solve_is_bjorck7(self):
-        # the closed form at n = 7 is BJORCK7_A to the last bit
-        assert qr_circulant(7).tobytes() == bjorck7().tobytes()
+        # the closed form at n = 7 is Bjorck's circulant to the last bit:
+        # first row (1, 1, 1, a, 1, a, a)/sqrt(7), a = -3/4 + i sqrt(7)/4
+        a = complex(-0.75, np.sqrt(7) / 4)
+        row = np.array([1, 1, 1, a, 1, a, a]) / np.sqrt(7)
+        want = np.array([np.roll(row, i) for i in range(7)])
+        assert qr_circulant(7).tobytes() == want.tobytes()
+        assert bjorck7().tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("p", [p for p in PRIMES if p % 4 == 3])
     def test_solve_matches_closed_form(self, p):
@@ -245,12 +250,15 @@ print(json.dumps({"outcome": outcome, "stdout": out.getvalue(), "seconds": secon
     ("fourier(10**12)", "order 1000000000000 is too large"),
     ("qr_circulant(10**7 + 19)", "order 10000019 is too large"),
     ("qr_circulant(10**8 + 7)", "order 100000007 is too large"),
+    ("qr_circulant(10**14 + 31)", "order 100000000000031 is too large"),
     ("main(['gen', 'fourier', '--n', '100000000'])", 2),
     ("main(['gen', 'qr-circulant', '--n', '10000019'])", 2),
-], ids=["fourier-1e8", "fourier-1e12", "qr-1e7+19", "qr-1e8+7", "gen-fourier-1e8", "gen-qr-1e7+19"])
+], ids=["fourier-1e8", "fourier-1e12", "qr-1e7+19", "qr-1e8+7", "qr-1e14+31", "gen-fourier-1e8",
+        "gen-qr-1e7+19"])
 def test_unbuildable_order_is_refused_before_any_work(call, outcome):
     # the n x n result is allocated first, and fails at once at these orders:
-    # nothing of size n is built before it
+    # nothing of size n is built before it, and no primality test runs (trial
+    # division takes about a second at 10^14 + 31, a prime = 3 mod 4)
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, "-c", REFUSAL_CHILD, call], env=env,
                           capture_output=True, text=True, timeout=120)

@@ -22,8 +22,8 @@ from hadcert import spancert
 from hadcert.spancert import _real_span_matrix
 
 # Span ranks of the order-n Fourier matrix, frozen from the gcd-sum kernel
-# count (see brute.gcd_sum_rank) and confirmed by exact sympy arithmetic for
-# n = 4 and 6 below.
+# count (see brute.gcd_sum_rank) and confirmed in exact integer arithmetic
+# (brute.exact_fourier_span_rank) for n = 2, 3, 4, 5, 6 and 8 below.
 FOURIER_RANKS = {2: 1, 3: 4, 4: 8, 5: 16, 6: 21, 7: 36, 8: 44, 9: 60,
                  10: 73, 11: 100, 12: 104, 13: 144, 14: 157, 15: 180,
                  16: 208, 17: 256, 18: 261, 19: 324, 20: 328, 21: 376,
@@ -235,37 +235,11 @@ class TestKernelDimension:
 
 
 class TestExactRankOracle:
-    """The measured SVD ranks cross-checked in exact arithmetic."""
+    """The measured SVD ranks cross-checked in exact arithmetic, on both sides
+    of the primality dichotomy: n = 2, 3 and 5 prime, n = 4, 6 and 8 not."""
 
-    def test_fourier4_exact(self):
-        import sympy as sp
-
-        n = 4
-        u = sp.Matrix(n, n, lambda i, j: sp.I ** ((i * j) % 4))
-        a = sp.zeros(n * n, n * n)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        dik = 1 if i == k else 0
-                        dil = 1 if i == l else 0
-                        if dik != dil:
-                            a[i * n + j, k * n + l] = (dik - dil) * sp.conjugate(u[j, k]) * u[j, l]
-        assert a.rank() == FOURIER_RANKS[4]
-
-    def test_fourier6_exact(self):
-        import sympy as sp
-
-        n = 6
-        z = sp.Rational(1, 2) + sp.I * sp.sqrt(3) / 2
-        u = sp.Matrix(n, n, lambda i, j: sp.expand(z ** ((i * j) % 6)))
-        a = sp.zeros(n * n, n * n)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        dik = 1 if i == k else 0
-                        dil = 1 if i == l else 0
-                        if dik != dil:
-                            a[i * n + j, k * n + l] = (dik - dil) * sp.conjugate(u[j, k]) * u[j, l]
-        assert a.rank(simplify=True) == FOURIER_RANKS[6]
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
+    def test_fourier_exact(self, n):
+        rank = brute.exact_fourier_span_rank(n)
+        assert rank == FOURIER_RANKS[n] == brute.gcd_sum_rank(n)
+        assert certify_isolation(fourier(n)).rank == rank
