@@ -107,30 +107,34 @@ def _residuals(s, q):
 
 
 def _residual(u, p_masks, d_masks):
-    """_residuals of one row. Entries near the float limit overflow the
-    products: the residual is then nan or inf, with no numpy warning."""
+    """_residuals of one row, and the q = U diag(d) U* of its d masks as a
+    stack. Entries near the float limit overflow the products: the residual
+    is then nan or inf, with no numpy warning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(_residuals(_difference([p_masks]), _conjugated(u, [d_masks]))[0])
+        q = _conjugated(u, [d_masks])
+        return float(_residuals(_difference([p_masks]), q)[0]), q[0]
 
 
 def commuting_residual(u, p_mask, d_mask):
     """||[diag(p), U diag(d) U*]||_F."""
-    return _residual(u, [p_mask], [d_mask])
+    return _residual(u, [p_mask], [d_mask])[0]
 
 
 def block_residual(u, p1_mask, p2_mask, d1_mask, d2_mask):
     """||[P1, U diag(d1) U*] - [P2, U diag(d2) U*]||_F."""
-    return _residual(u, [p1_mask, p2_mask], [d1_mask, d2_mask])
+    return _residual(u, [p1_mask, p2_mask], [d1_mask, d2_mask])[0]
 
 
 def _check_certified(spec, policy):
     """Raise unless the residual of spec, recomputed from its masks, is within
-    policy.tol_unitary; a residual that overflowed gets its own message."""
-    res = _residual(spec.base, *_sides(spec))
+    policy.tol_unitary; a residual that overflowed gets its own message.
+    Returns the q = U diag(d) U* of the spec's d masks, one per side."""
+    res, q = _residual(spec.base, *_sides(spec))
     if not res <= policy.tol_unitary:
         why = (f"the residual overflows ({res:.3e}): matrix entries are too large"
                if not np.isfinite(res) else f"residual {res:.3e}")
         raise ValueError(f"uncertified {_KINDS[_kind(spec)][2]}: {why}")
+    return q
 
 
 def _mask_fields(cls):
@@ -181,7 +185,9 @@ def _kind(spec):
 # --- exhaustive finders -------------------------------------------------------
 #
 # Both finders scan with subset tests on edge bitsets, tabulated only for the
-# masks each scan reads and tested a word at a time on the pairs still left.
+# masks each scan reads. _covering sorts the distinct bitsets word 0 first, so
+# those that share word 0 are one run: it tests word 0 once per run, and each
+# later word on the pairs still left.
 # [P, Q] is +-Q on the edges (i, j), i < j, that cross the mask of P and 0 on
 # the others, and Q[m] = U diag(m) U* is linear in m, so Q[d1] + Q[d2] =
 # Q[d1 | d2] for disjoint masks: every zero test is "these edges vanish in Q[m]".
@@ -279,58 +285,72 @@ def _edge_tables(u, tol, rows):
 
 def _covering(sets, rows):
     """Index pairs (i, r) with bitset sets[i] a subset of bitset rows[r],
-    ordered by i, then by rows[r] in lexsort order (last word first), then
+    ordered by i, then by rows[r] in lexsort order with word 0 first, then
     by r.
 
-    The test runs on the distinct rows, grouped by their word 0 (a block row
-    is a (z1, z2, z12) triple and word 0 is z1, which takes at most 2^n
-    values). Over chunks of sets, word 0 is tested once per distinct word-0
-    value; each hit is expanded to the distinct rows of its group, about
-    2^20 pairs at a time, and each later word is tested on the pairs still
-    left. Over CANDIDATE_CAP pairs, counting equal rows, raise ValueError
-    before any is expanded to them.
+    The test runs on the distinct rows sorted word 0 first, so the rows that
+    share a word-0 value are one run (a block row is a (z1, z2, z12) triple
+    and word 0 is z1, which takes at most 2^n values). Rows of one word are
+    each a run of their own, and the word-0 test is the whole test. Over
+    CANDIDATE_CAP pairs, counting equal rows, raise ValueError before any is
+    expanded to them.
     """
     if not len(sets) or not len(rows):
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    order = np.lexsort(rows.T)
+    order = np.lexsort(rows.T[::-1])
     rows = rows[order]
-    first = np.flatnonzero(np.append(True, np.any(rows[1:] != rows[:-1], axis=1)))
-    size = np.diff(np.append(first, len(rows)))
+    first = np.flatnonzero(np.append(True, (rows[1:] != rows[:-1]).any(axis=1)))
+    size = np.append(first[1:], len(rows)) - first
     holes = ~rows[first]
-    # group g of the distinct rows, those whose word 0 is values[g], is
-    # members[start[g]:start[g] + count[g]]
-    members = np.argsort(holes[:, 0], kind="stable")
-    word0 = holes[members, 0]
-    start = np.flatnonzero(np.append(True, word0[1:] != word0[:-1]))
-    values, count = word0[start], np.diff(np.append(start, len(word0)))
+    if holes.shape[1] == 1:
+        step = max(1, _STEP // len(holes))
+        pieces = ((lo, *np.nonzero((sets[lo:lo + step] & holes[:, 0]) == 0))
+                  for lo in range(0, len(sets), step))
+    else:
+        pieces = _run_pieces(sets, holes)
+    found_i, found_k, total = [], [], 0
+    for lo, i, k in pieces:
+        total += int(size[k].sum())
+        if total > CANDIDATE_CAP:
+            raise ValueError(f"the mask scan found more than {CANDIDATE_CAP} candidates; "
+                             "a smaller tol_unitary admits fewer")
+        found_i.append(i + lo)
+        found_k.append(k)
+    if not found_i:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    i, k = np.concatenate(found_i), np.concatenate(found_k)
+    # expand each hit on a distinct row to every row equal to it
+    size = size[k]
+    return np.repeat(i, size), order[_ranges(first[k], size)]
+
+
+def _run_pieces(sets, holes):
+    """_covering's test on distinct holes of two or more words, sorted word 0
+    first, as (lo, i, k) pieces in its order: sets[lo + i] has no bit in
+    holes[k]. Over chunks of sets, word 0 is tested once per run; each hit is
+    expanded to the rows of its run, about _STEP pairs at a time, and each
+    later word is tested on the pairs still left."""
+    # run g is holes[start[g]:start[g] + count[g]], whose word 0 is values[g]
+    start = np.flatnonzero(np.append(True, holes[1:, 0] != holes[:-1, 0]))
+    values, count = holes[start, 0], np.append(start[1:], len(holes)) - start
     step = max(1, _STEP // len(values))
-    found_i, found_k, total = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)], 0
     for lo in range(0, len(sets), step):
         chunk = sets[lo:lo + step]
-        # a row of the test per word-0 value, over the chunk's word 0 made contiguous
-        g, i = np.nonzero((values[:, None] & np.ascontiguousarray(chunk[:, 0])) == 0)
+        # a row of the test per run, over the chunk's word 0 made contiguous;
+        # read through the transpose, the hits come by set, then by run
+        i, g = np.nonzero(((values[:, None] & np.ascontiguousarray(chunk[:, 0])) == 0).T)
         if not len(g):
             continue
         ends = np.cumsum(count[g])
         cuts = np.searchsorted(ends, np.arange(0, ends[-1], _STEP), side="right")
         for a, b in zip(cuts, np.append(cuts[1:], len(g))):
-            # one piece: each hit's set against every distinct row of its group
+            # one piece: each hit's set against every distinct row of its run
             n_pairs = count[g[a:b]]
-            pi, k = np.repeat(i[a:b], n_pairs), members[_ranges(start[g[a:b]], n_pairs)]
+            pi, k = np.repeat(i[a:b], n_pairs), _ranges(start[g[a:b]], n_pairs)
             for w in range(1, holes.shape[1]):
                 kept = (chunk[pi, w] & holes[k, w]) == 0
                 pi, k = pi[kept], k[kept]
-            total += int(size[k].sum())
-            if total > CANDIDATE_CAP:
-                raise ValueError(f"the mask scan found more than {CANDIDATE_CAP} candidates; "
-                                 "a smaller tol_unitary admits fewer")
-            found_i.append(pi + lo)
-            found_k.append(k)
-    i, k = np.concatenate(found_i), np.concatenate(found_k)
-    by_set = np.lexsort((k, i))
-    i, k = i[by_set], k[by_set]
-    # expand each hit on a distinct row to every row equal to it
-    return np.repeat(i, size[k]), order[_ranges(first[k], size[k])]
+            yield lo, pi, k
 
 
 def _disjoint_pairs(n):
@@ -528,15 +548,14 @@ def _require_kind(spec, tag):
 def _block_phase(spec, lam, policy):
     """(I + (lam - 1) P1 q1 + (conj(lam) - 1) P2 q2) U from a certified spec
     of either kind (one term for a commuting pair); verified biunitary."""
-    _check_certified(spec, policy)
+    qs = _check_certified(spec, policy)
     u = spec.base
-    ps, ds = _sides(spec)
     if lam == 1.0:
         return u.copy()
     f = np.eye(len(u))
     # a dense diag(p) product: p[:, None] * q would move the last bits
-    for c, p, d in zip((lam, np.conj(lam)), ps, ds):
-        f = f + (c - 1.0) * np.diag(np.asarray(p, dtype=np.complex128)) @ _conjugated(u, d)
+    for c, p, q in zip((lam, np.conj(lam)), _sides(spec)[0], qs):
+        f = f + (c - 1.0) * np.diag(np.asarray(p, dtype=np.complex128)) @ q
     v = f @ u
     _require_biunitary(v, policy, "family member")
     return v
