@@ -290,10 +290,11 @@ def _covering(sets, rows):
 
     The test runs on the distinct rows sorted word 0 first, so the rows that
     share a word-0 value are one run (a block row is a (z1, z2, z12) triple
-    and word 0 is z1, which takes at most 2^n values). Rows of one word are
-    each a run of their own, and the word-0 test is the whole test. Over
-    CANDIDATE_CAP pairs, counting equal rows, raise ValueError before any is
-    expanded to them.
+    and word 0 is z1, which takes at most 2^n values). Over chunks of sets,
+    word 0 is tested once per run; each hit is expanded to the distinct rows
+    of its run, about 2^20 pairs at a time, and each later word is tested on
+    the pairs still left. Over CANDIDATE_CAP pairs, counting equal rows,
+    raise ValueError before any is expanded to them.
     """
     if not len(sets) or not len(rows):
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
@@ -302,38 +303,11 @@ def _covering(sets, rows):
     first = np.flatnonzero(np.append(True, (rows[1:] != rows[:-1]).any(axis=1)))
     size = np.append(first[1:], len(rows)) - first
     holes = ~rows[first]
-    if holes.shape[1] == 1:
-        step = max(1, _STEP // len(holes))
-        pieces = ((lo, *np.nonzero((sets[lo:lo + step] & holes[:, 0]) == 0))
-                  for lo in range(0, len(sets), step))
-    else:
-        pieces = _run_pieces(sets, holes)
-    found_i, found_k, total = [], [], 0
-    for lo, i, k in pieces:
-        total += int(size[k].sum())
-        if total > CANDIDATE_CAP:
-            raise ValueError(f"the mask scan found more than {CANDIDATE_CAP} candidates; "
-                             "a smaller tol_unitary admits fewer")
-        found_i.append(i + lo)
-        found_k.append(k)
-    if not found_i:
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    i, k = np.concatenate(found_i), np.concatenate(found_k)
-    # expand each hit on a distinct row to every row equal to it
-    size = size[k]
-    return np.repeat(i, size), order[_ranges(first[k], size)]
-
-
-def _run_pieces(sets, holes):
-    """_covering's test on distinct holes of two or more words, sorted word 0
-    first, as (lo, i, k) pieces in its order: sets[lo + i] has no bit in
-    holes[k]. Over chunks of sets, word 0 is tested once per run; each hit is
-    expanded to the rows of its run, about _STEP pairs at a time, and each
-    later word is tested on the pairs still left."""
     # run g is holes[start[g]:start[g] + count[g]], whose word 0 is values[g]
     start = np.flatnonzero(np.append(True, holes[1:, 0] != holes[:-1, 0]))
     values, count = holes[start, 0], np.append(start[1:], len(holes)) - start
     step = max(1, _STEP // len(values))
+    found_i, found_k, total = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)], 0
     for lo in range(0, len(sets), step):
         chunk = sets[lo:lo + step]
         # a row of the test per run, over the chunk's word 0 made contiguous;
@@ -350,7 +324,15 @@ def _run_pieces(sets, holes):
             for w in range(1, holes.shape[1]):
                 kept = (chunk[pi, w] & holes[k, w]) == 0
                 pi, k = pi[kept], k[kept]
-            yield lo, pi, k
+            total += int(size[k].sum())
+            if total > CANDIDATE_CAP:
+                raise ValueError(f"the mask scan found more than {CANDIDATE_CAP} candidates; "
+                                 "a smaller tol_unitary admits fewer")
+            found_i.append(pi + lo)
+            found_k.append(k)
+    i, k = np.concatenate(found_i), np.concatenate(found_k)
+    # expand each hit on a distinct row to every row equal to it
+    return np.repeat(i, size[k]), order[_ranges(first[k], size[k])]
 
 
 def _disjoint_pairs(n):

@@ -801,26 +801,6 @@ def test_covering_in_small_steps(step, words, monkeypatch, rng):
     assert list(zip(i, r)) == want == [tuple(x) for x in _covering_order(sets, rows)]
 
 
-@pytest.mark.parametrize("step", [None, 7])
-def test_one_word_covering_is_the_run_path(step, monkeypatch, rng):
-    # rows of one word take their own subset test; a second word that every
-    # row has and no set needs sends the same bitsets through the run path,
-    # which must give the same pairs in the same order
-    flags = rng.random((150, 64)) < 0.7
-    pool = np.packbits(flags, axis=1, bitorder="little").view(np.uint64)
-    rows = pool[rng.integers(0, 40, 90)]
-    sets = np.concatenate([rows[rng.integers(0, 90, 110)] & pool[40:],
-                           pool[rng.integers(0, 150, 40)] & pool[rng.integers(0, 150, 40)]])
-    if step:
-        monkeypatch.setattr(families, "_STEP", step)
-    got = _covering(sets, rows)
-    want = _covering(np.concatenate([sets, np.zeros_like(sets)], axis=1),
-                     np.concatenate([rows, np.full_like(rows, ~np.uint64(0))], axis=1))
-    assert [x.tolist() for x in got] == [x.tolist() for x in want]
-    # hits on many distinct rows, each expanded to the rows equal to it
-    assert len(np.unique(rows[got[1]])) > 10 and len(np.unique(rows)) < len(rows)
-
-
 @pytest.mark.parametrize("n", [12, 14])
 @pytest.mark.parametrize("scrambled", [False, True], ids=["plain", "scrambled"])
 def test_commuting_tables_are_rows_of_the_full_table(n, scrambled, monkeypatch, rng):
