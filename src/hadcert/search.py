@@ -12,18 +12,12 @@ the two Frobenius norms. The sign between the commutators is fixed by the
 requirement that the objective vanish on the known 7x7 block-phase family
 with its canonical masks.
 
-The backtracking line search tries the steps s, s/2, s/4, ... and
-evaluates them two at a time, as one call on a (2, n, n) stack of phase
-matrices. At the orders the search runs at, an evaluation costs numpy call
-overhead more than flops, so the second trial comes almost free; when the
-first trial is accepted, the second is discarded. Each slice of a stacked
-evaluation is bit-identical to evaluating its matrix alone, so the descent
-is exactly the one that tries the steps one at a time. The accepted
-trial's slice of the products (U, U U* - I, U P3, U P4 and the commutator
-defect) gives the convergence test, the trace entry and the gradient at
-that point; no point is evaluated twice.
+The backtracking line search tries the steps s, s/2, s/4, ... one at a time,
+and the accepted trial's products give the convergence test, the trace
+entry and the gradient at that point, so no point is evaluated twice.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,49 +91,49 @@ class SearchResult:
 def _evaluator(cfg):
     """(evaluate, grad) for one config, with its constants built once.
 
-    evaluate(thetas) takes a stack of phase matrices, shape (B, n, n), and
-    returns (t1, t2, parts): the squared unitarity and commutator defects of
-    each, shape (B,), and the stacked products (u, r, u P3, u P4, k) they
-    were built from. Each slice is bit-identical to evaluating its matrix
-    alone. grad(parts, j) forms the gradient of t1 + t2 at slice j from
-    those products. The commutator term is skipped when (p1, p2) or
-    (p3, p4) are both empty, since it then vanishes identically.
+    evaluate(theta) takes one (n, n) phase matrix and returns (t1, t2,
+    parts): the squared unitarity and commutator defects as floats, and the
+    products they were built from, x = (U, U P3, U P4) and q = (U U* - I,
+    k, ...) with k the commutator defect. U U*, U P3 U* and U P4 U* are
+    taken as one stacked product x @ U*, each slice the same gemm as its
+    product alone. grad(parts) forms the gradient of t1 + t2 from them. The
+    commutator term is skipped when (p1, p2) or (p3, p4) are both empty,
+    since it then vanishes identically; x and q then hold only U and
+    U U* - I.
     """
     n = cfg.n
     root_n = np.sqrt(n)
     eye = np.eye(n)
-    p3 = cfg.p3[None, :]
-    p4 = cfg.p4[None, :]
-    s1 = cfg.p1[:, None] - cfg.p1[None, :]
-    s2 = cfg.p2[:, None] - cfg.p2[None, :]
     commutes = (cfg.p1.any() or cfg.p2.any()) and (cfg.p3.any() or cfg.p4.any())
+    cols = np.stack([np.ones(n), cfg.p3, cfg.p4])[:3 if commutes else 1, None]
+    s = np.stack([cfg.p1[:, None] - cfg.p1[None, :], cfg.p2[:, None] - cfg.p2[None, :]])
 
-    def evaluate(thetas):
-        u = np.exp(1j * thetas) / root_n
-        uh = u.conj().swapaxes(-2, -1)
-        r = u @ uh - eye
-        t1 = (np.abs(r) ** 2).sum(axis=(-2, -1))
+    def evaluate(theta):
+        u = np.exp(1j * theta) / root_n
+        x = u * cols
+        q = x @ u.conj().T
+        q[0] -= eye
         if not commutes:
-            return t1, np.zeros_like(t1), (u, r, None, None, None)
-        u3 = u * p3
-        u4 = u * p4
-        k = s1 * (u3 @ uh) - s2 * (u4 @ uh)
-        return t1, (np.abs(k) ** 2).sum(axis=(-2, -1)), (u, r, u3, u4, k)
+            return float((np.abs(q[0]) ** 2).sum()), 0.0, (x, q)
+        q[1:] *= s
+        q[1] -= q[2]
+        t1, t2 = (np.abs(q[:2]) ** 2).sum(axis=(1, 2)).tolist()
+        return t1, t2, (x, q)
 
-    def grad(parts, j):
-        u, r, u3, u4, k = parts
-        u = u[j]
-        w = r[j] @ u
-        if k is not None:
-            k = k[j]
-            w = w + (s1 * k) @ u3[j] - (s2 * k) @ u4[j]
+    def grad(parts):
+        x, q = parts
+        u = x[0]
+        w = q[0] @ u
+        if commutes:
+            m = (s * q[1]) @ x[1:]
+            w = w + m[0] - m[1]
         return 4.0 * np.imag(np.conj(u) * w)
 
     return evaluate, grad
 
 
 def _unsquared(t1, t2):
-    return float(np.sqrt(t1) + np.sqrt(t2))
+    return math.sqrt(t1) + math.sqrt(t2)
 
 
 def _phases(theta, cfg):
@@ -154,8 +148,8 @@ def _phases(theta, cfg):
 
 def objective(theta, cfg):
     """||U U* - I||_F + ||[P1, U P3 U*] - [P2, U P4 U*]||_F (un-squared)."""
-    t1, t2, _ = _evaluator(cfg)[0](_phases(theta, cfg)[None])
-    return _unsquared(t1[0], t2[0])
+    t1, t2, _ = _evaluator(cfg)[0](_phases(theta, cfg))
+    return _unsquared(t1, t2)
 
 
 def gradient(theta, cfg):
@@ -166,28 +160,19 @@ def gradient(theta, cfg):
     differences to ~1e-9 relative.
     """
     evaluate, grad = _evaluator(cfg)
-    return grad(evaluate(_phases(theta, cfg)[None])[2], 0)
-
-
-# Armijo trial steps evaluated per stacked call. About three iterations in
-# four accept the first or second trial, and up to n = 16 a call on two
-# trials costs little more than a call on one; at n = 32, where flops start
-# to count, the descent is a few per cent slower per iteration.
-_TRIALS_PER_CALL = 2
+    return grad(evaluate(_phases(theta, cfg))[2])
 
 
 def local_search(cfg):
     """Conjugate-gradient descent with a monotone backtracking line search.
 
     Deterministic for a fixed config (including rng_seed). The line search
-    tries the steps s, s/2, s/4, ... (at most 60) and accepts the first that
-    meets the Armijo condition. It evaluates them two per stacked call, so
-    the trial after the accepted one may be evaluated and discarded; the
-    accepted trial's products give the convergence test, the trace entry and
-    the next gradient. The result is bit-identical to trying the steps one
-    at a time. The trace records the smoothed objective after every accepted
-    step and never increases; converged means the reported (un-squared)
-    objective reached cfg.tol_obj.
+    tries the steps s, s/2, s/4, ... (at most 60) one at a time and accepts
+    the first that meets the Armijo condition; the accepted trial's products
+    give the convergence test, the trace entry and the next gradient. The
+    trace records the smoothed objective after every accepted step and never
+    increases; converged means the reported (un-squared) objective reached
+    cfg.tol_obj.
     """
     if cfg.seed_phases is not None:
         theta = cfg.seed_phases.copy()
@@ -196,10 +181,9 @@ def local_search(cfg):
         theta = rng.uniform(0.0, 2.0 * np.pi, (cfg.n, cfg.n))
 
     evaluate, grad = _evaluator(cfg)
-    t1s, t2s, parts = evaluate(theta[None])
-    t1, t2 = t1s[0], t2s[0]
-    f = float(t1 + t2)
-    g = grad(parts, 0)
+    t1, t2, parts = evaluate(theta)
+    f = t1 + t2
+    g = grad(parts)
     d = -g
     step = cfg.step0
     trace = [f]
@@ -214,28 +198,21 @@ def local_search(cfg):
         if gd == 0.0:
             break
         s = step
-        for _ in range(0, 60, _TRIALS_PER_CALL):
-            steps = []
-            for _ in range(_TRIALS_PER_CALL):
-                steps.append(s)
-                s *= 0.5
-            trials = theta + np.multiply.outer(steps, d)
-            t1s, t2s, parts = evaluate(trials)
-            fs = (t1s + t2s).tolist()
-            passed = [j for j in range(_TRIALS_PER_CALL) if fs[j] <= f + 1e-4 * steps[j] * gd]
-            if passed:
+        for _ in range(60):
+            trial = theta + s * d
+            new = evaluate(trial)
+            if new[0] + new[1] <= f + 1e-4 * s * gd:
                 break
+            s *= 0.5
         else:  # no step in 60 halvings met the Armijo condition
             break
-        j = passed[0]
-        s = steps[j]
-        theta = trials[j]
-        t1, t2 = t1s[j], t2s[j]
-        g_new = grad(parts, j)
+        theta = trial
+        t1, t2, parts = new
+        g_new = grad(parts)
         beta = max(0.0, float((g_new * (g_new - g)).sum()) / max(float((g * g).sum()), 1e-300))
         d = -g_new + beta * d
         g = g_new
-        f = fs[j]
+        f = t1 + t2
         trace.append(f)
         iterations = it
         step = min(s * 2.0, 1e3)

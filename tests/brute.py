@@ -329,8 +329,10 @@ def reference_local_search(cfg):
     gradient call rebuilds U, U U*, U P3 U*, U P4 U* and the mask
     differences from the phases. Same floating-point expressions, so the
     library's fused loop must reproduce it bit for bit. Returns (phases,
-    objective, iterations, converged, trace)."""
+    objective, iterations, converged, trace, evaluations), the last the
+    number of smoothed-objective calls: the start and every trial step."""
     n = cfg.n
+    evaluations = 0
 
     def terms(theta):
         u = np.exp(1j * theta) / np.sqrt(n)
@@ -345,6 +347,8 @@ def reference_local_search(cfg):
         return float(np.sqrt(t1) + np.sqrt(t2))
 
     def smoothed(theta):
+        nonlocal evaluations
+        evaluations += 1
         t1, t2 = terms(theta)
         return t1 + t2
 
@@ -398,4 +402,4 @@ def reference_local_search(cfg):
         iterations = it
         step = min(s * 2.0, 1e3)
     final = objective(theta)
-    return theta, final, iterations, final <= cfg.tol_obj, trace
+    return theta, final, iterations, final <= cfg.tol_obj, trace, evaluations

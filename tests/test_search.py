@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from hadcert.cli import main
 from hadcert.families import block_residual
 from hadcert.search import _evaluator
 
-# The line search may evaluate a trial step it then discards; no such trial
-# may add a numpy warning.
+# A trial step the line search rejects, one that overflows included, may add
+# no numpy warning.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 PETRESCU_MASKS = dict(
@@ -39,6 +40,12 @@ def petrescu_cfg(**kw):
 def zero_cfg(n, **kw):
     z = mask_from_indices([], n)
     return SearchConfig(n=n, p1=z, p2=z, p3=z, p4=z, **kw)
+
+
+def parse_masks(n, masks):
+    """The four masks of a `--masks` string such as "0,1;2,3;0,1;2,3"."""
+    return [mask_from_indices([int(i) for i in part.split(",") if i], n)
+            for part in masks.split(";")]
 
 
 class TestObjective:
@@ -237,18 +244,20 @@ class TestLocalSearch:
         "fourier": lambda n: {"seed_phases": np.angle(fourier(n))},
     }
 
-    @pytest.mark.parametrize("n,masks,cap,edge", REFERENCE_ROWS,
-                             ids=["-".join(map(str, r if r[3] else r[:3]))
-                                  for r in REFERENCE_ROWS])
+    over_reference_rows = pytest.mark.parametrize(
+        "n,masks,cap,edge", REFERENCE_ROWS,
+        ids=["-".join(map(str, r if r[3] else r[:3])) for r in REFERENCE_ROWS])
+
+    def reference_configs(self, n, masks, cap, edge):
+        return [SearchConfig(n, *parse_masks(n, masks), max_iters=cap, rng_seed=seed,
+                             **self.EDGES[edge](n)) for seed in (0, 1)]
+
+    @over_reference_rows
     def test_matches_reference_loop(self, n, masks, cap, edge):
-        # the stacked line search must not move the descent by a single bit
-        p = [mask_from_indices([int(i) for i in part.split(",") if i], n)
-             for part in masks.split(";")]
-        for seed in (0, 1):
-            cfg = SearchConfig(n=n, p1=p[0], p2=p[1], p3=p[2], p4=p[3],
-                               max_iters=cap, rng_seed=seed, **self.EDGES[edge](n))
+        # the shared evaluations must not move the descent by a single bit
+        for cfg in self.reference_configs(n, masks, cap, edge):
             res = local_search(cfg)
-            phases, obj, iterations, converged, trace = brute.reference_local_search(cfg)
+            phases, obj, iterations, converged, trace, _ = brute.reference_local_search(cfg)
             assert np.array_equal(res.phases, phases)
             assert res.iterations == iterations
             assert res.objective == obj
@@ -259,27 +268,75 @@ class TestLocalSearch:
             if edge == "fourier":
                 assert converged and iterations == 0
 
+    @over_reference_rows
+    def test_evaluates_no_point_it_discards(self, n, masks, cap, edge, monkeypatch):
+        # the line search evaluates its trial steps one at a time, so it
+        # evaluates exactly the phase matrices the reference loop does
+        evaluated = []
+
+        def counting(cfg):
+            evaluate, grad = _evaluator(cfg)
+
+            def count(theta):
+                evaluated.append(theta.size // cfg.n ** 2)
+                return evaluate(theta)
+
+            return count, grad
+
+        monkeypatch.setattr("hadcert.search._evaluator", counting)
+        for cfg in self.reference_configs(n, masks, cap, edge):
+            evaluated.clear()
+            local_search(cfg)
+            assert sum(evaluated) == brute.reference_local_search(cfg)[5]
+
 
 # `hadcert search` stdout and exit code, frozen: (argv, exit code, sha256 of
-# stdout). The README command, a unitarity-only search, and masks that run
-# into the cap.
+# stdout per BLAS kernel). The README command, a unitarity-only search, and
+# masks that run into the cap.
 FROZEN_SEARCHES = [
-    (["--n", "7", "--masks", "0,1;2,3;0,1;2,3", "--seed", "1", "--starts", "8"], 0,
-     "3ca2144f6384f9543733895d5764ecd4a1af3a4461de04bc1e7c4d1603a2b325"),
-    (["--n", "9", "--masks", ";;;"], 0,
-     "89e2951dc2b3ba2285b36a5bb77e20cc1d609b2f0a9c141f5ab046f89c4dbbf1"),
-    (["--n", "6", "--masks", "0;1,2;0,4;1", "--max-iters", "800"], 1,
-     "d37c708a98c73cf1907b628bab8d85119b14651b4974866bf537498fb0c30182"),
+    (["--n", "7", "--masks", "0,1;2,3;0,1;2,3", "--seed", "1", "--starts", "8"], 0, {
+        "SkylakeX": "3ca2144f6384f9543733895d5764ecd4a1af3a4461de04bc1e7c4d1603a2b325",
+        "Haswell": "e5a15bb2bfa4d5d8d51c2c301fa7c6df32039b8e2ad31293c4bd9ec5300e1cd1",
+        "Sandybridge": "3051c8c3c57ee27ca6b824885cff4de8195ed64db1428869cff440f536868c64",
+    }),
+    (["--n", "9", "--masks", ";;;"], 0, {
+        "SkylakeX": "89e2951dc2b3ba2285b36a5bb77e20cc1d609b2f0a9c141f5ab046f89c4dbbf1",
+        "Haswell": "8c0f77fe1cae5243fa6aca68593713a44bf3efc9249f8270f2f86530168e3e5d",
+        "Sandybridge": "07ede53237cc3ec07912e42719e89c0656c4c59a75e6eb5bbe4de9b21111307c",
+    }),
+    (["--n", "6", "--masks", "0;1,2;0,4;1", "--max-iters", "800"], 1, {
+        "SkylakeX": "d37c708a98c73cf1907b628bab8d85119b14651b4974866bf537498fb0c30182",
+        "Haswell": "a70e34238b905879bd0721f77f9fec26b67fc5a804a7ec58c655ef433c06f9bd",
+        "Sandybridge": "b38dd32b6f9dabbbc9c8f982674392502226247f0974abd717d419d815a07dfa",
+    }),
 ]
 
 
-@pytest.mark.parametrize("argv, code, digest", FROZEN_SEARCHES,
+def reference_search_stdout(argv):
+    """`hadcert search` stdout built from brute.reference_local_search: start
+    k at rng_seed seed + k, the lowest objective kept, the first start
+    winning ties. argv holds only the options that FROZEN_SEARCHES set."""
+    opts = dict(zip(argv[::2], argv[1::2]))
+    n = int(opts["--n"])
+    runs = [brute.reference_local_search(SearchConfig(
+        n, *parse_masks(n, opts["--masks"]), max_iters=int(opts.get("--max-iters", 10000)),
+        rng_seed=int(opts.get("--seed", 0)) + k)) for k in range(int(opts.get("--starts", 1)))]
+    # min keeps the first of equal objectives
+    phases, obj, iterations, converged = min(runs, key=lambda run: run[1])[:4]
+    return json.dumps({"n": n, "phases": [float(t) for t in phases.ravel()], "objective": obj,
+                       "iterations": iterations, "converged": converged}, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("argv, code, digests", FROZEN_SEARCHES,
                          ids=["readme", "n9-unitary", "n6-capped"])
-def test_search_output_is_frozen(argv, code, digest, capsys):
+def test_search_output_is_frozen(argv, code, digests, frozen, capsys):
+    # the bytes of the reference loop on any BLAS kernel, and the recorded
+    # digest on this one
     assert main(["search", *argv]) == code
     out, err = capsys.readouterr()
     assert err == ""
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert out == reference_search_stdout(argv)
+    frozen(digests, hashlib.sha256(out.encode()).hexdigest())
 
 
 class TestPromote:
