@@ -6,6 +6,8 @@ takes real input and keeps it float64. Indices are 0-based throughout; add 1
 to translate to the 1-based conventions common in the literature.
 """
 
+import ctypes
+import functools
 import numbers
 from dataclasses import dataclass
 
@@ -95,7 +97,12 @@ def numerical_rank(a, policy=DEFAULT_POLICY):
     a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    s = np.linalg.svd(a, compute_uv=False)
+    return _rank_gap(np.linalg.svd(a, compute_uv=False), policy)
+
+
+def _rank_gap(s, policy):
+    """(rank, gap, s) for the descending singular values s of a finite
+    matrix, by the rule numerical_rank documents."""
     if not np.all(np.isfinite(s)):
         raise ValueError(f"the singular values overflow (sigma_max {s[0]:.3e}): "
                          f"matrix entries are too large")
@@ -107,6 +114,75 @@ def numerical_rank(a, policy=DEFAULT_POLICY):
     else:
         gap = float(s[rank - 1] / s[rank])
     return rank, gap, s
+
+
+# --- singular values in place ------------------------------------------------
+
+def _load_dgesdd():
+    """dgesdd from the LAPACK that numpy's linalg module loaded, with 64-bit
+    integers (an OpenBLAS64 build), or None."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except OSError:
+        return None
+    for name in ("scipy_dgesdd_64_", "dgesdd_64_"):
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            # JOBZ M N A LDA S U LDU VT LDVT WORK LWORK IWORK INFO; ctypes
+            # passes a c_double or c_int64 given for a pointer by reference
+            dp, ip = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64)
+            fn.argtypes = [ctypes.c_char_p, ip, ip, dp, ip, dp, dp, ip, dp, ip, dp, ip, ip, ip]
+            fn.restype = None
+            return fn
+    return None
+
+
+_DGESDD = _load_dgesdd()
+
+
+def _gesdd(a, s, ints, work, iwork):
+    """One dgesdd call with JOBZ='N', as numpy makes it, on the matrix whose
+    first entry is a. ints holds M, N, LDA = max(M, 1), LDVT = 1 and LWORK.
+    U and VT are not referenced for 'N', so s stands in for them. Raises
+    LinAlgError when INFO is not 0."""
+    m, n, lda, ldvt, lwork = ints
+    info = ctypes.c_int64(0)
+    _DGESDD(b"N", m, n, a, lda, s, s, lda, s, ldvt, work, lwork, iwork, info)
+    if info.value != 0:
+        raise np.linalg.LinAlgError(f"SVD did not converge (dgesdd info {info.value})")
+
+
+@functools.lru_cache(maxsize=64)
+def _gesdd_shape(m, n):
+    """(ints, work type, iwork type) for dgesdd on an m x n matrix: the
+    integer arguments, which LAPACK only reads and so are made once per
+    shape, and the ctypes array types of WORK and of IWORK (8 min(m, n)
+    integers). LWORK is what the workspace query returns, truncated to an
+    integer and at least 1, as numpy takes it."""
+    dims = tuple(ctypes.c_int64(x) for x in (m, n, max(m, 1), 1))
+    query = ctypes.c_double(0.0)
+    _gesdd(query, query, dims + (ctypes.c_int64(-1),), query, ctypes.c_int64(0))
+    lwork = max(int(query.value), 1)
+    return (dims + (ctypes.c_int64(lwork),), ctypes.c_double * lwork,
+            ctypes.c_int64 * (8 * min(m, n)))
+
+
+def _singular_values_inplace(a):
+    """Singular values of the Fortran-ordered float64 matrix a, in descending
+    order, by numpy's own LAPACK call (dgesdd, JOBZ='N') made on a itself:
+    no copy of a is taken, and a is overwritten. Without a 64-bit-integer
+    dgesdd to bind, np.linalg.svd on a gives the same values from a copy.
+    Raises LinAlgError when the SVD does not converge."""
+    if a.ndim != 2 or a.dtype != np.float64 or not a.flags.f_contiguous or a.size == 0:
+        raise ValueError("expected a non-empty Fortran-ordered float64 matrix")
+    if _DGESDD is None:
+        return np.linalg.svd(a, compute_uv=False)
+    ints, work, iwork = _gesdd_shape(*a.shape)
+    s = np.empty(min(a.shape))
+    # a.T is C-ordered, as from_buffer needs, and shares a's memory
+    double = ctypes.c_double
+    _gesdd(double.from_buffer(a.T), double.from_buffer(s), ints, work(), iwork())
+    return s
 
 
 # --- diagonal 0/1 projections -------------------------------------------------

@@ -22,7 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmatrix import DEFAULT_POLICY, NumericPolicy, as_matrix, numerical_rank
+from .cmatrix import (
+    DEFAULT_POLICY,
+    NumericPolicy,
+    _rank_gap,
+    _singular_values_inplace,
+    as_matrix,
+)
 from .hadamard import _require_biunitary
 
 __all__ = [
@@ -37,7 +43,8 @@ __all__ = [
 ]
 
 # certify builds an n^2 x n^2 float64 matrix, 8 n^4 bytes: 134 MB at n = 64
-# and 800 MB at n = 100, and its SVD grows as n^6
+# and 800 MB at n = 100. The SVD overwrites it in place, so that is the peak;
+# the SVD's time grows as n^6
 CERTIFY_CAP = 64
 
 ISOLATED = "Isolated"
@@ -108,15 +115,19 @@ def _real_span_matrix(u):
     R[(i,j),(k,l)] = sqrt2 (delta_ik - delta_il) Re(conj(u_jk) u_jl) for
     k < l and the same with Im for k > l (Im of column (k,l) equals Im of
     column (l,k)); the diagonal columns are zero. Built without the complex
-    n^4 array.
+    n^4 array, and Fortran-ordered: column by column, each column one
+    contiguous run of memory, so that LAPACK can work on R itself.
     """
     n = u.shape[0]
     E = np.eye(n)
-    deltas = E[:, None, :, None] - E[:, None, None, :]
-    prods = np.conj(u)[:, :, None] * u[:, None, :]
-    upper = np.arange(n)[:, None] < np.arange(n)[None, :]
+    # R[(i,j),(k,l)] = deltas[k, l, i, 0] * parts[k, l, 0, j], both factors
+    # contiguous along their last axis
+    deltas = E[:, None, :, None] - E[None, :, :, None]
+    ut = np.ascontiguousarray(u.T)
+    prods = np.conj(ut)[:, None, None, :] * ut[None, :, None, :]
+    upper = np.arange(n)[:, None, None, None] < np.arange(n)[None, :, None, None]
     parts = np.sqrt(2.0) * np.where(upper, prods.real, prods.imag)
-    return (deltas * parts[None]).reshape(n * n, n * n)
+    return (deltas * parts).reshape(n * n, n * n).T
 
 
 def reduced_minor(a):
@@ -149,7 +160,8 @@ def certify_isolation(u, policy=DEFAULT_POLICY):
     _require_biunitary(u, policy, "certify_isolation input")
     n = u.shape[0]
     expected = n * n - 2 * n + 1
-    rank, gap, sv = numerical_rank(_real_span_matrix(u), policy)
+    # the SVD overwrites R, the one n^4 array certify holds
+    rank, gap, sv = _rank_gap(_singular_values_inplace(_real_span_matrix(u)), policy)
     if gap >= policy.cert_gap_min and rank == expected:
         label = ISOLATED
     elif gap >= policy.cert_gap_min and rank < expected:

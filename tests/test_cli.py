@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -187,6 +188,25 @@ class TestCertify:
         f.write_text(format_matrix(np.eye(4, dtype=complex)))
         code, _, err = run_cli(["certify", str(f)])
         assert code == 2
+
+    def test_serial_and_threaded_blas_agree(self, tmp_path):
+        # the bytes may differ between serial and threaded OpenBLAS from F32
+        # up, but not the certificate
+        f = tmp_path / "f32.mat"
+        f.write_text(format_matrix(fourier(32)))
+        docs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run([sys.executable, "-m", "hadcert", "certify", str(f)],
+                                  capture_output=True, text=True,
+                                  env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
+            assert proc.returncode == 1, proc.stderr
+            docs.append(json.loads(proc.stdout))
+        serial, threaded = docs
+        assert list(serial) == list(threaded)
+        assert (serial["rank"], serial["verdict"]) == (threaded["rank"], threaded["verdict"])
+        assert (serial["rank"], serial["verdict"]) == (912, "SpanFails")
+        s1, s2 = np.array(serial["singular_values"]), np.array(threaded["singular_values"])
+        assert np.max(np.abs(s1 - s2)) <= 1e-14 * s1[0]
 
     def test_order_cap_exit_2(self, tmp_path, monkeypatch, capsys):
         f = tmp_path / "f6.mat"

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 import pytest
 
-from hadcert import bjorck7, find_commuting_pairs, fourier, petrescu
+from hadcert import bjorck7, certify_isolation, cmatrix, find_commuting_pairs, fourier, petrescu
 from hadcert.cli import format_matrix, main, parse_matrix
 from hadcert.families import spec_to_json_dict
 
@@ -257,3 +257,21 @@ def test_generated_inputs_keep_exit_contract(tmp_path):
     # the generator reaches every command and every verdict, not only errors
     assert codes == {0, 1, 2}
     assert commands == {"verify", "certify", "pairs", "family", "search", "gen", "repro"}
+
+
+def test_unconverged_svd_exits_2(tmp_path, monkeypatch, capsys):
+    # a dgesdd that reports INFO > 0 (its divide and conquer did not
+    # converge), on the workspace query and on the SVD alike
+    def unconverged(*args):
+        args[-1].value = 1
+
+    monkeypatch.setattr(cmatrix, "_DGESDD", unconverged)
+    with pytest.raises(np.linalg.LinAlgError):
+        certify_isolation(fourier(5))
+    assert issubclass(np.linalg.LinAlgError, ValueError)
+    f = tmp_path / "f5.mat"
+    f.write_text(format_matrix(fourier(5)))
+    assert main(["certify", str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: SVD did not converge (dgesdd info 1)\n"

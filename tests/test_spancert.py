@@ -1,4 +1,8 @@
+import ctypes
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ from hadcert import (
     reduced_minor,
     span_matrix,
 )
-from hadcert import spancert
+from hadcert import cmatrix, spancert
 from hadcert.spancert import _real_span_matrix
 
 # Span ranks of the order-n Fourier matrix, frozen from the gcd-sum kernel
@@ -116,6 +120,91 @@ class TestRealForm:
                         assert abs(r[i * 4 + j, k * 4 + l] - want) < 1e-15
                         if k == l:
                             assert r[i * 4 + j, k * 4 + l] == 0.0
+
+
+def _numpy_exports_dgesdd():
+    """Whether the LAPACK that numpy loaded exports a 64-bit-integer dgesdd."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    return any(hasattr(lib, name) for name in ("scipy_dgesdd_64_", "dgesdd_64_"))
+
+
+class TestInPlaceSVD:
+    """certify_isolation runs dgesdd on R itself rather than on numpy's copy
+    of it; the singular values must be numpy's to the byte."""
+
+    @staticmethod
+    def corpus():
+        rng = np.random.default_rng(31)
+        for n in range(2, 25):
+            yield f"F{n}", fourier(n)
+            if n <= 16:
+                yield f"F{n} scrambled", brute.random_equivalence_move(fourier(n), rng)
+        yield "bjorck7", bjorck7()
+        yield "petrescu(1)", petrescu(1.0)
+        yield "petrescu(e^0.3i)", petrescu(np.exp(0.3j))
+        yield "F2xF4", np.kron(fourier(2), fourier(4))
+        yield "F3xF3", np.kron(fourier(3), fourier(3))
+        yield "F32", fourier(32)
+
+    def test_binding_active_when_exported(self):
+        assert (cmatrix._DGESDD is not None) == _numpy_exports_dgesdd()
+
+    def test_singular_values_are_numpys_bytes(self):
+        for label, u in self.corpus():
+            r = _real_span_matrix(u)
+            assert r.flags.f_contiguous, label
+            want = np.linalg.svd(r, compute_uv=False)
+            assert cmatrix._singular_values_inplace(r).tobytes() == want.tobytes(), label
+
+    def test_certify_takes_no_copy(self, monkeypatch):
+        if cmatrix._DGESDD is None:
+            pytest.skip("numpy's LAPACK exports no 64-bit-integer dgesdd")
+
+        def copying_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", copying_svd)
+        assert certify_isolation(fourier(7)).rank == 36
+
+    def test_fallback_gives_the_same_certificate(self, monkeypatch):
+        inputs = [fourier(2), fourier(7), fourier(12), bjorck7(), petrescu(1.0),
+                  np.kron(fourier(3), fourier(3))]
+        want = [certify_isolation(u) for u in inputs]
+        monkeypatch.setattr(cmatrix, "_DGESDD", None)
+        for u, c in zip(inputs, want):
+            got = certify_isolation(u)
+            assert got.to_json_dict() == c.to_json_dict()
+            assert got.singular_values.tobytes() == c.singular_values.tobytes()
+
+    def test_numerical_rank_leaves_its_input(self):
+        r = _real_span_matrix(fourier(6))
+        kept = r.copy(order="A")
+        numerical_rank(r)
+        assert r.tobytes(order="A") == kept.tobytes(order="A")
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+    def test_certify_holds_one_span_matrix(self):
+        # the peak of certify on F48 is its one 8 n^4 byte span matrix plus
+        # LAPACK workspace; a copy of the matrix would add 42 MB more. The
+        # child reads VmHWM, its own peak since exec: ru_maxrss would start
+        # from the peak of this test process, which a vforked child inherits
+        code = (
+            "import hadcert\n"
+            "def peak_kib():\n"
+            "    with open('/proc/self/status') as f:\n"
+            "        return next(int(l.split()[1]) for l in f if l.startswith('VmHWM:'))\n"
+            "u = hadcert.fourier(48)\n"
+            "hadcert.certify_isolation(hadcert.fourier(4))\n"
+            "before = peak_kib()\n"
+            "hadcert.certify_isolation(u)\n"
+            "print(peak_kib() - before)\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        growth = int(proc.stdout) * 1024
+        assert growth <= 8 * 48 ** 4 + 24e6
 
 
 class TestReducedMinor:
