@@ -18,6 +18,8 @@ diagonal columns this is A W for a unitary W, so the spectrum is unchanged,
 and the real SVD takes about half the time of the complex one.
 """
 
+import contextlib
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +45,18 @@ __all__ = [
 ]
 
 # certify builds an n^2 x n^2 float64 matrix, 8 n^4 bytes: 134 MB at n = 64
-# and 800 MB at n = 100. The SVD overwrites it in place, so that is the peak;
-# the SVD's time grows as n^6
+# and 800 MB at n = 100. The SVD overwrites it in place, and from n = 12 up
+# the matrix has pages of its own, unmapped when certify returns, so the peak
+# is that one matrix above the resident process, whatever ran before (the
+# certify benchmark, F2-F48 on a 2-core Xeon: 107.7 -> 90.0 MB); the SVD's
+# time grows as n^6
 CERTIFY_CAP = 64
+
+# The span matrix gets a mapping of its own from this size up (n >= 12):
+# glibc's default M_MMAP_THRESHOLD, from which malloc itself starts out
+# mapping. Below it, a syscall pair and fresh page faults on each call cost
+# more than the build of the matrix
+_OWN_PAGES_MIN = 128 * 1024
 
 ISOLATED = "Isolated"
 SPAN_FAILS = "SpanFails"
@@ -117,6 +128,17 @@ def _real_span_matrix(u):
     column (l,k)); the diagonal columns are zero. Built without the complex
     n^4 array, and Fortran-ordered: column by column, each column one
     contiguous run of memory, so that LAPACK can work on R itself.
+
+    From 128 KiB up (n >= 12) R lives in a private anonymous mapping of its
+    own, unmapped when the last view of it goes, as certify returns. From
+    malloc a freed R would stay resident: glibc raises its mmap threshold
+    to the size of each mapped block it frees, so the next R of that size
+    comes from the heap, which it trims only past twice that threshold
+    (certify benchmark peak RSS: 107.7 MB from malloc, 90.0 MB from own
+    mappings). The mapping is advised for transparent hugepages, as numpy
+    advises its own arrays of 4 MiB and up: on 4 KiB pages, filling F48's
+    R takes 10,368 page faults rather than 659, and twice the time. Below
+    128 KiB, and off Linux (no MADV_HUGEPAGE), R comes from np.empty.
     """
     n = u.shape[0]
     E = np.eye(n)
@@ -127,7 +149,16 @@ def _real_span_matrix(u):
     prods = np.conj(ut)[:, None, None, :] * ut[None, :, None, :]
     upper = np.arange(n)[:, None, None, None] < np.arange(n)[None, :, None, None]
     parts = np.sqrt(2.0) * np.where(upper, prods.real, prods.imag)
-    return (deltas * parts).reshape(n * n, n * n).T
+    size = 8 * n ** 4
+    if size < _OWN_PAGES_MIN or not hasattr(mmap, "MADV_HUGEPAGE"):
+        r = np.empty((n, n, n, n))
+    else:
+        mm = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+        with contextlib.suppress(OSError):  # a kernel without hugepages
+            mm.madvise(mmap.MADV_HUGEPAGE)
+        r = np.ndarray((n, n, n, n), buffer=mm)
+    np.multiply(deltas, parts, out=r)
+    return r.reshape(n * n, n * n).T
 
 
 def reduced_minor(a):

@@ -1,13 +1,11 @@
 import json
-import os
-import subprocess
-import sys
 import warnings
 
 import numpy as np
 import pytest
 
 import brute
+import memchild
 from hadcert import (
     DEFAULT_POLICY,
     bjorck7,
@@ -225,10 +223,11 @@ class TestQrCirculant:
 
 
 # Runs one call in a child whose address space is capped at 3 GB, and reports
-# its outcome, the time the call took and the child's peak RSS as JSON.
+# its outcome, the time the call took and the child's own peak RSS as JSON.
 REFUSAL_CHILD = """
 import contextlib, io, json, resource, sys, time
 resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from memchild import status_kib
 from hadcert import fourier, qr_circulant
 from hadcert.cli import main
 out = io.StringIO()
@@ -241,10 +240,11 @@ except ValueError as exc:
 seconds = time.perf_counter() - start
 outcome = outcome if isinstance(outcome, (int, str)) else type(outcome).__name__
 print(json.dumps({"outcome": outcome, "stdout": out.getvalue(), "seconds": seconds,
-                  "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+                  "maxrss_mb": status_kib("VmHWM") / 1024}))
 """
 
 
+@pytest.mark.skipif(not memchild.HAS_STATUS, reason="needs /proc/self/status")
 @pytest.mark.parametrize("call, outcome", [
     ("fourier(10**8)", "order 100000000 is too large"),
     ("fourier(10**12)", "order 1000000000000 is too large"),
@@ -259,11 +259,7 @@ def test_unbuildable_order_is_refused_before_any_work(call, outcome):
     # the n x n result is allocated first, and fails at once at these orders:
     # nothing of size n is built before it, and no primality test runs (trial
     # division takes about a second at 10^14 + 31, a prime = 3 mod 4)
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-c", REFUSAL_CHILD, call], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
+    report = json.loads(memchild.run(REFUSAL_CHILD, call))
     if isinstance(outcome, str):
         assert outcome in report["outcome"]
     else:

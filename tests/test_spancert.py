@@ -1,13 +1,12 @@
 import ctypes
+import itertools
 import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 import brute
+import memchild
 from hadcert import (
     DEFAULT_POLICY,
     INCONCLUSIVE,
@@ -107,19 +106,28 @@ class TestRealForm:
             assert diff <= 1e-12 * want[0], label
             assert cert.rank == numerical_rank(a)[0], label
 
+    @staticmethod
+    def check_entries(u, r):
+        n = u.shape[0]
+        assert r.dtype == np.float64
+        for i, j, k, l in itertools.product(range(n), repeat=4):
+            z = ((i == k) - (i == l)) * np.conj(u[j, k]) * u[j, l]
+            want = np.sqrt(2) * (z.real if k < l else z.imag)
+            assert abs(r[i * n + j, k * n + l] - want) < 1e-15
+            if k == l:
+                assert r[i * n + j, k * n + l] == 0.0
+
     def test_entry_formula(self, rng):
         u = brute.random_biunitary(4, rng)
+        self.check_entries(u, _real_span_matrix(u))
+
+    def test_entry_formula_own_pages(self, rng):
+        # from n = 12 up R is built in a mapping of its own, not by np.empty
+        u = brute.random_biunitary(12, rng)
         r = _real_span_matrix(u)
-        assert r.dtype == np.float64
-        for i in range(4):
-            for j in range(4):
-                for k in range(4):
-                    for l in range(4):
-                        z = ((i == k) - (i == l)) * np.conj(u[j, k]) * u[j, l]
-                        want = np.sqrt(2) * (z.real if k < l else z.imag)
-                        assert abs(r[i * 4 + j, k * 4 + l] - want) < 1e-15
-                        if k == l:
-                            assert r[i * 4 + j, k * 4 + l] == 0.0
+        assert r.nbytes >= spancert._OWN_PAGES_MIN
+        assert r.flags.f_contiguous and r.flags.writeable
+        self.check_entries(u, r)
 
 
 def _numpy_exports_dgesdd():
@@ -182,29 +190,39 @@ class TestInPlaceSVD:
         numerical_rank(r)
         assert r.tobytes(order="A") == kept.tobytes(order="A")
 
-    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+    @pytest.mark.skipif(not memchild.HAS_STATUS, reason="needs /proc/self/status")
     def test_certify_holds_one_span_matrix(self):
         # the peak of certify on F48 is its one 8 n^4 byte span matrix plus
-        # LAPACK workspace; a copy of the matrix would add 42 MB more. The
-        # child reads VmHWM, its own peak since exec: ru_maxrss would start
-        # from the peak of this test process, which a vforked child inherits
+        # LAPACK workspace; a copy of the matrix would add 42 MB more
         code = (
             "import hadcert\n"
-            "def peak_kib():\n"
-            "    with open('/proc/self/status') as f:\n"
-            "        return next(int(l.split()[1]) for l in f if l.startswith('VmHWM:'))\n"
+            "from memchild import status_kib\n"
             "u = hadcert.fourier(48)\n"
             "hadcert.certify_isolation(hadcert.fourier(4))\n"
-            "before = peak_kib()\n"
+            "before = status_kib('VmHWM')\n"
             "hadcert.certify_isolation(u)\n"
-            "print(peak_kib() - before)\n"
+            "print(status_kib('VmHWM') - before)\n"
         )
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env)
-        assert proc.returncode == 0, proc.stderr
-        growth = int(proc.stdout) * 1024
+        growth = int(memchild.run(code)) * 1024
         assert growth <= 8 * 48 ** 4 + 24e6
+
+    @pytest.mark.skipif(not memchild.HAS_STATUS, reason="needs /proc/self/status")
+    def test_certify_leaves_no_span_matrix_resident(self):
+        # F32's 8 MB span matrix has pages of its own, unmapped when certify
+        # returns. From the heap it would stay resident from the second call
+        # on: glibc raises its mmap threshold to the size of each mapped
+        # block it frees, and trims only past twice that threshold
+        code = (
+            "import hadcert\n"
+            "from memchild import status_kib\n"
+            "hadcert.certify_isolation(hadcert.fourier(4))\n"
+            "before = status_kib('VmRSS')\n"
+            "for _ in range(2):\n"
+            "    hadcert.certify_isolation(hadcert.fourier(32))\n"
+            "print(status_kib('VmRSS') - before)\n"
+        )
+        growth = int(memchild.run(code)) * 1024
+        assert growth < 8 * 32 ** 4 / 2
 
 
 class TestReducedMinor:
