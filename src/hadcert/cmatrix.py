@@ -106,7 +106,7 @@ def _rank_gap(s, policy):
     if not np.all(np.isfinite(s)):
         raise ValueError(f"the singular values overflow (sigma_max {s[0]:.3e}): "
                          f"matrix entries are too large")
-    if s.size == 0 or s[0] == 0.0:
+    if s.size == 0:
         return 0, np.inf, s
     rank = int(np.sum(s > policy.rank_rel_cut * s[0]))
     if rank >= s.size or s[rank] == 0.0:

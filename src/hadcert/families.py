@@ -459,8 +459,6 @@ def _find(u, policy, cap, scan, spec, name):
     n = u.shape[0]
     if n > cap:
         raise ValueError(f"order {n} exceeds the exhaustive cap {cap}")
-    if n < 2:
-        return []
     _require_biunitary(u, policy, f"{name} input")
     tol = policy.tol_unitary
     found = scan(u, tol)
@@ -529,11 +527,11 @@ def _require_kind(spec, tag):
 
 def _block_phase(spec, lam, policy):
     """(I + (lam - 1) P1 q1 + (conj(lam) - 1) P2 q2) U from a certified spec
-    of either kind (one term for a commuting pair); verified biunitary."""
+    of either kind (one term for a commuting pair). Every member passes the
+    biunitarity gate, the lam = 1 member (the base's bits) included, so a
+    spec over a base that is not biunitary yields none."""
     qs = _check_certified(spec, policy)
     u = spec.base
-    if lam == 1.0:
-        return u.copy()
     f = np.eye(len(u))
     # a dense diag(p) product: p[:, None] * q would move the last bits
     for c, p, q in zip((lam, np.conj(lam)), _sides(spec)[0], qs):

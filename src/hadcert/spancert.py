@@ -47,9 +47,8 @@ __all__ = [
 # certify builds an n^2 x n^2 float64 matrix, 8 n^4 bytes: 134 MB at n = 64
 # and 800 MB at n = 100. The SVD overwrites it in place, and from n = 12 up
 # the matrix has pages of its own, unmapped when certify returns, so the peak
-# is that one matrix above the resident process, whatever ran before (the
-# certify benchmark, F2-F48 on a 2-core Xeon: 107.7 -> 90.0 MB); the SVD's
-# time grows as n^6
+# is that one matrix above the resident process, whatever ran before; the
+# SVD's time grows as n^6
 CERTIFY_CAP = 64
 
 # The span matrix gets a mapping of its own from this size up (n >= 12):
@@ -133,12 +132,11 @@ def _real_span_matrix(u):
     own, unmapped when the last view of it goes, as certify returns. From
     malloc a freed R would stay resident: glibc raises its mmap threshold
     to the size of each mapped block it frees, so the next R of that size
-    comes from the heap, which it trims only past twice that threshold
-    (certify benchmark peak RSS: 107.7 MB from malloc, 90.0 MB from own
-    mappings). The mapping is advised for transparent hugepages, as numpy
-    advises its own arrays of 4 MiB and up: on 4 KiB pages, filling F48's
-    R takes 10,368 page faults rather than 659, and twice the time. Below
-    128 KiB, and off Linux (no MADV_HUGEPAGE), R comes from np.empty.
+    comes from the heap, which it trims only past twice that threshold. The
+    mapping is advised for transparent hugepages, as numpy advises its own
+    arrays of 4 MiB and up: on 4 KiB pages, filling F48's R takes 10,368
+    page faults rather than 659, and twice the time. Below 128 KiB, and off
+    Linux (no MADV_HUGEPAGE), R comes from np.empty.
     """
     n = u.shape[0]
     E = np.eye(n)

@@ -304,6 +304,18 @@ def expm_member(spec, t):
     return (v * np.exp(1j * t * w)) @ v.conj().T @ u
 
 
+def _sides(spec):
+    """(P, q) per side of a family spec, one side for a commuting pair and
+    two for a block quadruple, by the family constructor's numpy
+    expressions: the dense P = np.diag(p) and q = (U d) @ U*."""
+    u = spec.base
+    names = ([("p_mask", "d_mask")] if hasattr(spec, "p_mask")
+             else [("p1_mask", "d1_mask"), ("p2_mask", "d2_mask")])
+    return [(np.diag(np.asarray(getattr(spec, p), dtype=np.complex128)),
+             (u * np.asarray(getattr(spec, d), dtype=np.float64)[None, :]) @ u.conj().T)
+            for p, d in names]
+
+
 def verify_unitarity_identity(spec):
     """||P1 q1 P1 + P2 q2 P2 - q1 P1 - P2 q2||_F of a block quadruple spec.
 
@@ -315,12 +327,21 @@ def verify_unitarity_identity(spec):
     if not hasattr(spec, "p2_mask"):
         raise ValueError(f"the unitarity identity needs a block quadruple, "
                          f"not a {type(spec).__name__}")
-    u = spec.base
-    (p1, q1), (p2, q2) = [
-        (np.diag(np.asarray(p, dtype=np.complex128)),
-         (u * np.asarray(d, dtype=np.float64)[None, :]) @ u.conj().T)
-        for p, d in ((spec.p1_mask, spec.d1_mask), (spec.p2_mask, spec.d2_mask))]
+    (p1, q1), (p2, q2) = _sides(spec)
     return float(np.linalg.norm(p1 @ q1 @ p1 + p2 @ q2 @ p2 - q1 @ p1 - p2 @ q2))
+
+
+def reference_block_phase(spec, lam):
+    """The family member (I + (lam - 1) P1 q1 + (conj(lam) - 1) P2 q2) U of
+    a spec (the first term alone for a commuting pair), by the library's
+    expressions in their order: f = f + (c - 1) P @ q per side, then f @ U.
+    constr1_family at t is this at lam = e^{it}, constr2_family this at lam,
+    and `hadcert family` prints it, bit for bit on any BLAS kernel. It
+    neither certifies the spec nor checks the member."""
+    f = np.eye(len(spec.base))
+    for c, (p, q) in zip((lam, np.conj(lam)), _sides(spec)):
+        f = f + (c - 1.0) * p @ q
+    return f @ spec.base
 
 
 def reference_local_search(cfg):

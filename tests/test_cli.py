@@ -29,7 +29,7 @@ from hadcert.cli import (
     parse_matrix,
     read_matrix,
 )
-from hadcert.families import CANDIDATE_CAP, spec_to_json_dict
+from hadcert.families import CANDIDATE_CAP, spec_from_json_dict, spec_to_json_dict
 
 
 def run_cli(args, stdin=None):
@@ -190,23 +190,24 @@ class TestCertify:
         assert code == 2
 
     def test_serial_and_threaded_blas_agree(self, tmp_path):
-        # the bytes may differ between serial and threaded OpenBLAS from F32
-        # up, but not the certificate
-        f = tmp_path / "f32.mat"
-        f.write_text(format_matrix(fourier(32)))
-        docs = []
-        for threads in ("1", "2"):
-            proc = subprocess.run([sys.executable, "-m", "hadcert", "certify", str(f)],
-                                  capture_output=True, text=True,
-                                  env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
-            assert proc.returncode == 1, proc.stderr
-            docs.append(json.loads(proc.stdout))
-        serial, threaded = docs
-        assert list(serial) == list(threaded)
-        assert (serial["rank"], serial["verdict"]) == (threaded["rank"], threaded["verdict"])
-        assert (serial["rank"], serial["verdict"]) == (912, "SpanFails")
-        s1, s2 = np.array(serial["singular_values"]), np.array(threaded["singular_values"])
-        assert np.max(np.abs(s1 - s2)) <= 1e-14 * s1[0]
+        # the bytes may differ between serial and threaded OpenBLAS, from F15
+        # on a 2-core Xeon, but not the certificate
+        for n, rank in ((15, 180), (32, 912)):
+            f = tmp_path / f"f{n}.mat"
+            f.write_text(format_matrix(fourier(n)))
+            docs = []
+            for threads in ("1", "2"):
+                proc = subprocess.run([sys.executable, "-m", "hadcert", "certify", str(f)],
+                                      capture_output=True, text=True,
+                                      env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
+                assert proc.returncode == 1, proc.stderr
+                docs.append(json.loads(proc.stdout))
+            serial, threaded = docs
+            assert list(serial) == list(threaded)
+            assert (serial["rank"], serial["verdict"]) == (threaded["rank"], threaded["verdict"])
+            assert (serial["rank"], serial["verdict"]) == (rank, "SpanFails")
+            s1, s2 = np.array(serial["singular_values"]), np.array(threaded["singular_values"])
+            assert np.max(np.abs(s1 - s2)) <= 1e-14 * s1[0]
 
     def test_order_cap_exit_2(self, tmp_path, monkeypatch, capsys):
         f = tmp_path / "f6.mat"
@@ -312,7 +313,8 @@ class TestFamily:
 
     # `hadcert family` stdout on a constr2 spec, frozen: (param, format,
     # sha256 of stdout per BLAS kernel). The base is `gen petrescu
-    # --lambda-angle 0.9`.
+    # --lambda-angle 0.9`. The stdout is first checked against
+    # brute.reference_block_phase, which holds on any kernel.
     FROZEN = [
         ("2.2", "cart", {
             "SkylakeX": "88a5a5f9f8cb32f9304c246f34162f8ab2ea9e09f309d445329b4cebe60a7378",
@@ -332,14 +334,16 @@ class TestFamily:
         monkeypatch.chdir(tmp_path)
         assert main(["gen", "petrescu", "--lambda-angle", "0.9"]) == 0
         (tmp_path / "petrescu.mat").write_text(capsys.readouterr().out)
-        (tmp_path / "spec.json").write_text(json.dumps({
-            "theorem": "constr2", "base": "petrescu.mat", "p1": [0, 1], "p2": [2, 3],
-            "d1": [0, 1], "d2": [2, 3], "residual": 0.0,
-        }))
+        doc = {"theorem": "constr2", "base": "petrescu.mat", "p1": [0, 1], "p2": [2, 3],
+               "d1": [0, 1], "d2": [2, 3], "residual": 0.0}
+        (tmp_path / "spec.json").write_text(json.dumps(doc))
         assert main(["family", "petrescu.mat", "--spec", "spec.json", "--param", param,
                      "--format", fmt]) == 0
         out, err = capsys.readouterr()
         assert err == ""
+        spec = spec_from_json_dict(doc, read_matrix("petrescu.mat"))
+        want = brute.reference_block_phase(spec, np.exp(1j * float(param)))
+        assert out == format_matrix(want, fmt)
         frozen(digests, hashlib.sha256(out.encode()).hexdigest())
 
     # `hadcert family` is the library constructor of the spec's kind: constr1
@@ -367,6 +371,8 @@ class TestFamily:
                     out, err = capsys.readouterr()
                     assert err == ""
                     assert out == format_matrix(member(specs[idx], float(param)), fmt)
+                    want = brute.reference_block_phase(specs[idx], np.exp(1j * float(param)))
+                    assert out == format_matrix(want, fmt)
 
     def test_commuting_member_far_out_verifies(self, tmp_path, capsys):
         # the commuting-pair family is 2*pi-periodic, so every finite --param
@@ -480,6 +486,11 @@ class TestBadInput(_CliRuns):
                                           "p": [1], "d": [0]}),
         "f4_spec.json": json.dumps({"theorem": "constr1", "base": "f4.mat",
                                     "p": [1, 3], "d": [1, 3]}),
+        "one.mat": "CART 1\n2,0\n",
+        # not biunitary, and every factor diagonal: the spec's residual is 0
+        "diag.mat": format_matrix(2 * np.diag([1, 1j, -1])),
+        "diag_spec.json": json.dumps({"theorem": "constr2", "base": "diag.mat",
+                                      "p1": [0], "p2": [1], "d1": [0], "d2": [1]}),
     }
     USAGE_ERRORS = [
         ["verify", "nan.mat"],
@@ -557,13 +568,20 @@ class TestBadInput(_CliRuns):
         (["gen", "circulant", "--row", "empty_row.txt"], "circulant row must be non-empty"),
         (["search", "--n", "4", "--masks", ";;;", "--seed", "-1"], "rng_seed must be >= 0"),
         (["gen", "fourier", "--n", "1000000000000"], "order 1000000000000 is too large"),
+        # order 1 and the member at --param 0 pass the biunitarity gate too
+        (["pairs", "one.mat", "--mode", "commuting"],
+         "find_commuting_pairs input is not biunitary"),
+        (["pairs", "one.mat", "--mode", "block"], "find_block_pairs input is not biunitary"),
+        (["family", "diag.mat", "--spec", "diag_spec.json", "--param", "0"],
+         "family member is not biunitary"),
     ]
 
     @pytest.mark.parametrize("args, cause", CAUSES, ids=[
         "gen-option-before-kind", "gen-foreign-option", "pairs-block-capped", "pairs-commuting-capped",
         "undecodable-file", "deep-spec", "non-finite-result", "certify-non-finite",
         "pairs-non-finite", "spec-missing-mask", "family-non-finite", "family-modulus-only",
-        "circulant-empty-row", "search-negative-seed", "gen-huge-order"])
+        "circulant-empty-row", "search-negative-seed", "gen-huge-order",
+        "pairs-commuting-order-1", "pairs-block-order-1", "family-param-0-gated"])
     def test_usage_error_names_cause(self, args, cause, run):
         # one error line naming the cause, and no numpy warning before it
         code, out, err = run(args)

@@ -2,7 +2,9 @@
 cli.main. Every case must end with exit 0, 1 or 2 and no exception escaping
 main (argparse's SystemExit(2) counts as exit 2). Exit 0 or 1 must come with
 stdout that a strict parser accepts: strict JSON, or a matrix file for gen
-and family. Exit 2 must leave stdout empty.
+and family. Exit 2 must leave stdout empty. A verdict from pairs or certify,
+exit 0 or 1, must be on a matrix that verify, given the same --tol-* flags,
+calls biunitary: a matrix that is not is an input error.
 
 The cases mutate matrix text and bytes, spec JSON (nesting, wrong types,
 huge integers), circulant row files, the --masks grammar and numeric flag
@@ -217,12 +219,24 @@ def _run(argv, stdin):
     return code, out.getvalue()
 
 
-def _problem(argv, code, out):
+def _verify_argv(argv):
+    """The verify run on the file of a pairs or certify argv, with its
+    --tol-entry and --tol-unitary flags."""
+    flags = []
+    for name, value in zip(argv, argv[1:]):
+        if name in POLICY[:2]:
+            flags += [name, value]
+    return ["verify", argv[1], *flags]
+
+
+def _problem(argv, code, out, stdin):
     """What breaks the exit contract in one run, or None."""
     if code not in (0, 1, 2):
         return f"exit {code!r}"
     if code == 2:
         return None if out == "" else "exit 2 with output"
+    if argv[0] in ("pairs", "certify") and _run(_verify_argv(argv), stdin)[0] != 0:
+        return f"exit {code} on a matrix that is not biunitary"
     try:
         if argv[0] in ("gen", "family"):
             parse_matrix(out)
@@ -248,7 +262,7 @@ def test_generated_inputs_keep_exit_contract(tmp_path):
             (tmp_path / f"{case}_{name}").write_bytes(data)
         argv = [str(tmp_path / f"{case}_{a}") if a in files else a for a in argv]
         code, out = _run(argv, stdin)
-        problem = _problem(argv, code, out)
+        problem = _problem(argv, code, out, stdin)
         if problem:
             problems.append((argv, problem))
         codes.add(code)

@@ -132,10 +132,19 @@ def test_spec_builders_reject_non_binary_masks(bad):
         block_pair_spec(u, odd, even, bad, even)
 
 
+@pytest.mark.parametrize("find", [find_commuting_pairs, find_block_pairs])
+def test_order_one_is_gated(find):
+    # order 1 passes the biunitarity gate as every other order does, and a
+    # biunitary of order 1 has no witness
+    with pytest.raises(ValueError, match=f"^{find.__name__} input is not biunitary"):
+        find([[2.0]])
+    assert find([[np.exp(0.3j)]]) == []
+
+
 class TestConstr1:
     def test_t_zero_is_base(self, f4_pairs):
         spec = f4_pairs[0]
-        assert np.array_equal(constr1_family(spec, 0.0), spec.base)
+        assert constr1_family(spec, 0.0).tobytes() == spec.base.tobytes()
 
     def test_members_biunitary(self, f4_pairs):
         spec = f4_pairs[0]
@@ -312,7 +321,7 @@ class TestFindBlockPairs:
 class TestConstr2:
     def test_lambda_one_is_base(self, petrescu_specs):
         spec = petrescu_specs[0]
-        assert np.array_equal(constr2_family(spec, 1.0), spec.base)
+        assert constr2_family(spec, 1.0).tobytes() == spec.base.tobytes()
 
     def test_reproduces_petrescu_entrywise(self, petrescu_specs):
         spec = next(
@@ -361,10 +370,53 @@ class TestConstr2:
             constr2_family(spec, np.exp(1j))
 
 
+# A certified spec on 2 diag(1, i, -1), which is not biunitary: P = diag(e0)
+# commutes with the diagonal q = U diag(e0) U*, and the quadruple's sides
+# each do, so every residual is exactly 0.
+@pytest.mark.parametrize("build, family, unit, masks", [
+    (commuting_pair_spec, constr1_family, 0.0, [[0], [0]]),
+    (block_pair_spec, constr2_family, 1.0, [[0], [1], [0], [1]]),
+], ids=["constr1", "constr2"])
+def test_unit_member_is_gated(build, family, unit, masks):
+    # the member at lambda = 1 is built and gated as every other member
+    spec = build(2 * np.diag([1, 1j, -1]), *(mask_from_indices(m, 3) for m in masks))
+    assert spec.residual == 0.0
+    with pytest.raises(ValueError, match="^family member is not biunitary"):
+        family(spec, unit)
+
+
+# Every member is brute.reference_block_phase to the bit, on any BLAS kernel,
+# at lambda = 1 (t = 0) too.
+@pytest.mark.parametrize("make, step", [
+    (lambda: fourier(4), 1), (lambda: fourier(6), 1), (lambda: fourier(12), 8),
+    (lambda: brute.random_equivalence_move(fourier(6), np.random.default_rng(5)), 1),
+    (lambda: np.kron(fourier(2), fourier(4)), 3),
+], ids=["F4", "F6", "F12", "F6-scrambled", "F2xF4"])
+def test_constr1_members_are_the_reference(make, step):
+    for spec in find_commuting_pairs(make())[::step]:
+        for t in (0.0, 0.7, -2.5, np.pi, 1e6):
+            want = brute.reference_block_phase(spec, np.exp(1j * t))
+            assert constr1_family(spec, t).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("make, step", [
+    (lambda: petrescu(1.0), 1), (lambda: petrescu(np.exp(0.9j)), 1), (lambda: fourier(6), 11),
+    (lambda: brute.random_equivalence_move(fourier(8), np.random.default_rng(5)), 97),
+    (lambda: np.kron(fourier(3), fourier(3)), 331),
+], ids=["petrescu1", "petrescu0.9", "F6", "F8-scrambled", "F3xF3"])
+def test_constr2_members_are_the_reference(make, step):
+    for spec in find_block_pairs(make())[::step]:
+        for lam in (1.0, np.exp(0.7j), np.exp(-2.5j), -1.0, 1j):
+            want = brute.reference_block_phase(spec, lam)
+            assert constr2_family(spec, lam).tobytes() == want.tobytes()
+
+
 # constr2_family members and verify_unitarity_identity, frozen: sha256 over
 # the member bytes at each FROZEN_LAMBDAS, then the hex of the identity
 # residual, per BLAS kernel. Both family constructors share one block-phase
-# factor; these bits must not move with it.
+# factor; these bits must not move with it. The members are also checked
+# against brute.reference_block_phase first, which runs on any kernel; the
+# digests guard the same host against a change made to both.
 FROZEN_LAMBDAS = [np.exp(0.7j), np.exp(-2.5j), -1.0]
 FROZEN_CONSTR2 = [
     (lambda: block_pair_spec(petrescu(1.0), *(mask_from_indices(m, 7) for m in
@@ -391,7 +443,9 @@ def test_constr2_members_are_frozen(make, digests, frozen):
     spec = make()
     h = hashlib.sha256()
     for lam in FROZEN_LAMBDAS:
-        h.update(constr2_family(spec, lam).tobytes())
+        member = constr2_family(spec, lam)
+        assert member.tobytes() == brute.reference_block_phase(spec, lam).tobytes()
+        h.update(member.tobytes())
     h.update(brute.verify_unitarity_identity(spec).hex().encode())
     frozen(digests, h.hexdigest())
 
