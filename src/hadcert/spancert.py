@@ -20,7 +20,7 @@ and the real SVD takes about half the time of the complex one.
 
 import contextlib
 import mmap
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -90,12 +90,7 @@ class SpanCertificate:
             "verdict": self.verdict,
             "gap": None if np.isinf(self.gap) else float(self.gap),
             "singular_values": [float(s) for s in self.singular_values],
-            "policy": {
-                "tol_entry": self.policy.tol_entry,
-                "tol_unitary": self.policy.tol_unitary,
-                "rank_rel_cut": self.policy.rank_rel_cut,
-                "cert_gap_min": self.policy.cert_gap_min,
-            },
+            "policy": asdict(self.policy),
         }
 
 

@@ -16,6 +16,11 @@ def bits(mask, n):
     return np.array([(mask >> k) & 1 for k in range(n)], dtype=float)
 
 
+def mask_int(mask):
+    """The integer whose bit k is entry k of a 0/1 mask: the inverse of bits."""
+    return sum(int(b) << k for k, b in enumerate(mask))
+
+
 def indices(mask):
     """Positions of the ones of a 0/1 mask, by a loop."""
     return [k for k, x in enumerate(mask) if x == 1]
@@ -285,13 +290,15 @@ def random_biunitary(n, rng):
 
 
 def random_equivalence_move(u, rng):
-    """D1 P1 u P2 D2 with random unimodular diagonals and permutations."""
+    """D1 P1 u P2 D2 with random unimodular diagonals and permutations, and
+    the permutations as index arrays: entry (a, b) of the move is
+    u[rows[a], cols[b]] times a phase."""
     n = u.shape[0]
     d1 = np.exp(2j * np.pi * rng.random(n))
     d2 = np.exp(2j * np.pi * rng.random(n))
-    p1 = np.eye(n)[rng.permutation(n)]
-    p2 = np.eye(n)[rng.permutation(n)]
-    return (d1[:, None] * p1) @ u @ (p2 * d2[None, :])
+    rows, perm = rng.permutation(n), rng.permutation(n)
+    p1, p2 = np.eye(n)[rows], np.eye(n)[perm]
+    return (d1[:, None] * p1) @ u @ (p2 * d2[None, :]), rows, np.argsort(perm)
 
 
 def expm_member(spec, t):

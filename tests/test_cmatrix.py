@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from hadcert import (
-    DEFAULT_POLICY,
-    NumericPolicy,
-    fourier,
-    numerical_rank,
-)
+from hadcert import DEFAULT_POLICY, NumericPolicy, numerical_rank
 from hadcert.cmatrix import as_mask, mask_from_indices, mask_indices
 
 
@@ -42,23 +37,6 @@ class TestPolicy:
             NumericPolicy(cert_gap_min=np.nan)
         assert NumericPolicy(cert_gap_min=np.inf).cert_gap_min == np.inf
         assert NumericPolicy(tol_entry=np.float32(1e-6), cert_gap_min=10).cert_gap_min == 10
-
-
-class TestMatmul:
-    def test_fourier2_unitary(self):
-        f2 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-        assert np.max(np.abs(fourier(2) @ fourier(2).conj().T - np.eye(2))) < 1e-14
-        assert np.max(np.abs(fourier(2) - f2)) < 1e-15
-
-
-class TestAdjoint:
-    def test_fourier3_entries(self):
-        # conjugate of the construction formula, entry by entry
-        eps = np.exp(2j * np.pi / 3)
-        a = fourier(3).conj().T
-        for i in range(3):
-            for j in range(3):
-                assert abs(a[i, j] - np.conj(eps ** (i * j)) / np.sqrt(3)) < 1e-15
 
 
 class TestNumericalRank:

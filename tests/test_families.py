@@ -3,7 +3,6 @@ import hashlib
 import subprocess
 import sys
 import warnings
-import zlib
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +10,7 @@ import numpy as np
 import pytest
 
 import brute
+import corpus
 from hadcert import (
     DEFAULT_POLICY,
     bjorck7,
@@ -31,6 +31,7 @@ from hadcert import (
 from hadcert import families
 from hadcert.families import (
     BLOCK_CAP,
+    COMMUTING_CAP,
     _covering,
     _edge_tables,
     _in_index_order,
@@ -43,10 +44,6 @@ from hadcert.families import (
     spec_to_json_dict,
 )
 from hadcert.spancert import ISOLATED
-
-
-def bitmask(spec_mask):
-    return sum(1 << i for i in mask_indices(spec_mask))
 
 
 @pytest.fixture(scope="module")
@@ -74,9 +71,10 @@ class TestFindCommutingPairs:
             assert 0 < int(np.sum(s.p_mask)) < 4
             assert 0 < int(np.sum(s.d_mask)) < 4
 
-    def test_matches_brute_small_orders(self, rng):
-        for u in (fourier(4), fourier(5), fourier(6), brute.random_biunitary(5, rng)):
-            got = [(bitmask(s.p_mask), bitmask(s.d_mask)) for s in find_commuting_pairs(u)]
+    def test_matches_brute_small_orders(self):
+        for u in map(corpus.get, ["F4", "F5", "F6", "random5"]):
+            got = [(brute.mask_int(s.p_mask), brute.mask_int(s.d_mask))
+                   for s in find_commuting_pairs(u)]
             assert sorted(got) == brute.brute_commuting_pairs(u)
 
     @pytest.mark.parametrize("n, count", [(12, 97), (14, 126)])
@@ -95,8 +93,8 @@ class TestFindCommutingPairs:
             assert bool(pairs) == composite, n
 
     @pytest.mark.parametrize("n", [12, 14])
-    def test_residual_is_the_public_one(self, n, rng):
-        u = brute.random_equivalence_move(fourier(n), rng)
+    def test_residual_is_the_public_one(self, n):
+        u = corpus.get(f"F{n}s")
         specs = find_commuting_pairs(u)
         assert specs
         for s in specs:
@@ -180,12 +178,11 @@ class TestConstr1:
             with pytest.raises(ValueError, match=f"t={t}"):
                 constr1_family(f4_pairs[0], t)
 
-    def test_matches_spectral_exponential(self, rng):
+    def test_matches_spectral_exponential(self):
         # the closed form (I + (e^{it} - 1) P q) U against exp(i t P q) U
         # taken through the eigenvectors of P q
-        specs = (find_commuting_pairs(fourier(4)) + find_commuting_pairs(fourier(6))
-                 + find_commuting_pairs(fourier(8))[::3] + find_commuting_pairs(fourier(12))[::10]
-                 + find_commuting_pairs(brute.random_equivalence_move(fourier(6), rng)))
+        specs = [s for label, step in [("F4", 1), ("F6", 1), ("F8", 3), ("F12", 10), ("F6s", 1)]
+                 for s in find_commuting_pairs(corpus.get(label))[::step]]
         assert len(specs) == 1 + 6 + 5 + 10 + 6
         for spec in specs:
             for t in np.linspace(-2 * np.pi, 2 * np.pi, 9):
@@ -225,37 +222,18 @@ class TestFindBlockPairs:
         assert certify_isolation(fourier(7)).verdict == ISOLATED
         assert find_block_pairs(fourier(7)) == []
 
-    def test_matches_brute_small_orders(self, rng):
-        for u in (fourier(4), fourier(5), brute.random_biunitary(4, rng),
-                  brute.random_biunitary(5, rng), fourier(6)):
-            got = [
-                (bitmask(s.p1_mask), bitmask(s.p2_mask), bitmask(s.d1_mask), bitmask(s.d2_mask))
-                for s in find_block_pairs(u)
-            ]
+    def test_matches_brute_small_orders(self):
+        for u in map(corpus.get, ["F4", "F5", "random4", "random5", "F6"]):
+            got = [tuple(brute.mask_int(m) for m in (s.p1_mask, s.p2_mask, s.d1_mask, s.d2_mask))
+                   for s in find_block_pairs(u)]
             assert sorted(got) == brute.brute_block_pairs(u)
 
-    @pytest.mark.parametrize("make, count", [
-        (lambda: fourier(8), 1040),
-        (lambda: fourier(9), 1242),
-        (lambda: np.kron(fourier(2), fourier(4)), 3056),
-        (lambda: np.kron(fourier(3), fourier(3)), 4968),
-        (lambda: petrescu(1.0), 9),
-        (lambda: fourier(10), 5880),
-    ], ids=["F8", "F9", "F2xF4", "F3xF3", "petrescu1", "F10"])
-    def test_counts(self, make, count):
-        assert len(find_block_pairs(make())) == count
-
-    @pytest.mark.parametrize("make", [
-        lambda rng: fourier(8),
-        lambda rng: brute.random_equivalence_move(fourier(9), rng),
-        lambda rng: np.kron(fourier(2), fourier(4)),
-        lambda rng: petrescu(1.0),
-        lambda rng: petrescu(np.exp(0.9j)),
-    ], ids=["F8", "F9scrambled", "F2xF4", "petrescu1", "petrescu0.9i"])
-    def test_residual_is_the_public_one(self, make, rng):
+    @pytest.mark.parametrize("label", ["F8", "F9s", "F2xF4", "petrescu1", "petrescu0.9i"],
+                             ids=["F8", "F9scrambled", "F2xF4", "petrescu1", "petrescu0.9i"])
+    def test_residual_is_the_public_one(self, label):
         # the finder filters from projections it builds once per mask; each
         # residual it returns must still be block_residual's, bit for bit
-        u = make(rng)
+        u = corpus.get(label)
         specs = find_block_pairs(u)
         assert specs
         for s in specs:
@@ -387,25 +365,21 @@ def test_unit_member_is_gated(build, family, unit, masks):
 
 # Every member is brute.reference_block_phase to the bit, on any BLAS kernel,
 # at lambda = 1 (t = 0) too.
-@pytest.mark.parametrize("make, step", [
-    (lambda: fourier(4), 1), (lambda: fourier(6), 1), (lambda: fourier(12), 8),
-    (lambda: brute.random_equivalence_move(fourier(6), np.random.default_rng(5)), 1),
-    (lambda: np.kron(fourier(2), fourier(4)), 3),
+@pytest.mark.parametrize("label, step", [
+    ("F4", 1), ("F6", 1), ("F12", 8), ("F6s", 1), ("F2xF4", 3),
 ], ids=["F4", "F6", "F12", "F6-scrambled", "F2xF4"])
-def test_constr1_members_are_the_reference(make, step):
-    for spec in find_commuting_pairs(make())[::step]:
+def test_constr1_members_are_the_reference(label, step):
+    for spec in find_commuting_pairs(corpus.get(label))[::step]:
         for t in (0.0, 0.7, -2.5, np.pi, 1e6):
             want = brute.reference_block_phase(spec, np.exp(1j * t))
             assert constr1_family(spec, t).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("make, step", [
-    (lambda: petrescu(1.0), 1), (lambda: petrescu(np.exp(0.9j)), 1), (lambda: fourier(6), 11),
-    (lambda: brute.random_equivalence_move(fourier(8), np.random.default_rng(5)), 97),
-    (lambda: np.kron(fourier(3), fourier(3)), 331),
+@pytest.mark.parametrize("label, step", [
+    ("petrescu1", 1), ("petrescu0.9i", 1), ("F6", 11), ("F8s", 97), ("F3xF3", 331),
 ], ids=["petrescu1", "petrescu0.9", "F6", "F8-scrambled", "F3xF3"])
-def test_constr2_members_are_the_reference(make, step):
-    for spec in find_block_pairs(make())[::step]:
+def test_constr2_members_are_the_reference(label, step):
+    for spec in find_block_pairs(corpus.get(label))[::step]:
         for lam in (1.0, np.exp(0.7j), np.exp(-2.5j), -1.0, 1j):
             want = brute.reference_block_phase(spec, lam)
             assert constr2_family(spec, lam).tobytes() == want.tobytes()
@@ -413,24 +387,24 @@ def test_constr2_members_are_the_reference(make, step):
 
 # constr2_family members and verify_unitarity_identity, frozen: sha256 over
 # the member bytes at each FROZEN_LAMBDAS, then the hex of the identity
-# residual, per BLAS kernel. Both family constructors share one block-phase
-# factor; these bits must not move with it. The members are also checked
-# against brute.reference_block_phase first, which runs on any kernel; the
-# digests guard the same host against a change made to both.
+# residual, per BLAS kernel, for one block quadruple (by its place in the
+# finder's output) of each input. Both family constructors share one
+# block-phase factor; these bits must not move with it. The members are also
+# checked against brute.reference_block_phase first, which runs on any
+# kernel; the digests guard the same host against a change made to both.
 FROZEN_LAMBDAS = [np.exp(0.7j), np.exp(-2.5j), -1.0]
 FROZEN_CONSTR2 = [
-    (lambda: block_pair_spec(petrescu(1.0), *(mask_from_indices(m, 7) for m in
-                                              ([0, 1], [2, 3], [0, 1], [2, 3]))), {
+    ("petrescu1", 0, {
         "SkylakeX": "b3ce6ab986f18663f9267cd27074d892fcbd368c50e6f80f20e0a9ca87d2a954",
         "Haswell": "2957cc65973871919c075715c585fd8a6177a7d4c5e5dff66d65efed38220768",
         "Sandybridge": "fc8b30827e7ce6d0e06b9e3accb8891b506937ca2c58de3ce2876e7d2c0fa426",
     }),
-    (lambda: find_block_pairs(fourier(8))[517], {
+    ("F8", 517, {
         "SkylakeX": "102934944e19be40f403942c1e8ecbb0b08ac3b1894715864e6b8976e810f881",
         "Haswell": "95e5ba2d974dc9d7ab878c9604fce880dd576e2568a9b49bf9ee1a0840d2a1d9",
         "Sandybridge": "802709bfb6b42ab43be75daeefdb9cfe30bab315df0fcb486b420e963b40a6cb",
     }),
-    (lambda: find_block_pairs(np.kron(fourier(3), fourier(3)))[2024], {
+    ("F3xF3", 2024, {
         "SkylakeX": "ef2cefaa382431a82c71202f89e87be5969af89e02de98d48ebdbcd79bad7936",
         "Haswell": "6a4966790ff5ffc0fc37ac86a7bdb045cd323383f5cf45f38b256ea89845d715",
         "Sandybridge": "5f9b2b217518a37bde6c12ed6e836c1f0fde2764abef55ce343f34dd254d116f",
@@ -438,9 +412,9 @@ FROZEN_CONSTR2 = [
 ]
 
 
-@pytest.mark.parametrize("make, digests", FROZEN_CONSTR2, ids=["petrescu1", "F8", "F3xF3"])
-def test_constr2_members_are_frozen(make, digests, frozen):
-    spec = make()
+@pytest.mark.parametrize("label, index, digests", FROZEN_CONSTR2, ids=["petrescu1", "F8", "F3xF3"])
+def test_constr2_members_are_frozen(label, index, digests, frozen):
+    spec = find_block_pairs(corpus.get(label))[index]
     h = hashlib.sha256()
     for lam in FROZEN_LAMBDAS:
         member = constr2_family(spec, lam)
@@ -654,9 +628,9 @@ class TestSerialization:
             spec_from_json_dict(doc, spec.base)
 
 
-def test_python_scan_matches_brute(rng):
+def test_python_scan_matches_brute():
     # the raw candidates of the bitset block scan, before the exact filter
-    for u in (fourier(4), brute.random_biunitary(5, rng)):
+    for u in map(corpus.get, ["F4", "random5"]):
         got = sorted(map(tuple, _scan_block_pairs(u, 1e-9).tolist()))
         assert got == brute.brute_block_pairs(u)
 
@@ -708,10 +682,10 @@ def _rows(specs):
     # bits of the input, and so on the BLAS kernel. The commuting step is the
     # spectral exponential, not constr1_family's closed form (which rejects
     # 1644 block candidates)
-    (lambda: constr2_family(find_block_pairs(np.kron(fourier(2), fourier(4)))[0],
-                            np.exp(2e-9j)), (3056, 37)),
-    (lambda: brute.expm_member(find_commuting_pairs(
-        np.kron(np.kron(fourier(2), fourier(2)), fourier(2)))[0], 2e-9), (6832, 77)),
+    (lambda: constr2_family(find_block_pairs(corpus.get("F2xF4"))[0], np.exp(2e-9j)),
+     (3056, 37)),
+    (lambda: brute.expm_member(find_commuting_pairs(corpus.get("F2xF2xF2"))[0], 2e-9),
+     (6832, 77)),
 ], ids=["F2xF4-constr2", "F2xF2xF2-constr1"])
 def test_exact_filter_is_the_public_loop(make, counts):
     # the finders filter stacked chunks of candidates, 512 to a chunk at
@@ -751,15 +725,14 @@ def test_benchmark_oracles_reject_corrupted_witnesses():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-@pytest.mark.parametrize("u", [
-    fourier(4), fourier(6), fourier(8), petrescu(1.0),
-    np.kron(fourier(2), fourier(4)), fourier(7), fourier(12),
-], ids=["F4", "F6", "F8", "petrescu", "F2xF4", "F7", "F12"])
-def test_witnesses_span_left_kernel(u):
+@pytest.mark.parametrize("label", ["F4", "F6", "F8", "petrescu1", "F2xF4", "F7", "F12"],
+                         ids=["F4", "F6", "F8", "petrescu", "F2xF4", "F7", "F12"])
+def test_witnesses_span_left_kernel(label):
     # certify_isolation and the finders share no code: each witness gives a
     # left null vector of the span matrix, p x d for a commuting pair and
     # p1 x d1 - p2 x d2 for a block quadruple, and with the 2n - 1 trivial
     # vectors e_i x 1 and 1 x e_j they span the whole left kernel
+    u = corpus.get(label)
     n = u.shape[0]
     vecs = [np.kron(s.p_mask, s.d_mask) for s in find_commuting_pairs(u)]
     if n <= BLOCK_CAP:
@@ -869,11 +842,12 @@ def test_covering_in_small_steps(step, words, monkeypatch, rng):
 
 @pytest.mark.parametrize("n", [12, 14])
 @pytest.mark.parametrize("scrambled", [False, True], ids=["plain", "scrambled"])
-def test_commuting_tables_are_rows_of_the_full_table(n, scrambled, monkeypatch, rng):
+def test_commuting_tables_are_rows_of_the_full_table(n, scrambled, monkeypatch):
     # the commuting finder tabulates only the canonical masks; each of its
     # zero rows must be the matching row of the table over every mask, bit for
     # bit, and so must each cross row of the order's commuting plan
-    u = brute.random_equivalence_move(fourier(n), rng) if scrambled else fourier(n)
+    label = f"F{n}s" if scrambled else f"F{n}"
+    u = corpus.get(label)
     calls = []
 
     def recording(u, tol, rows):
@@ -881,7 +855,7 @@ def test_commuting_tables_are_rows_of_the_full_table(n, scrambled, monkeypatch, 
         return calls[-1][1]
 
     monkeypatch.setattr(families, "_edge_tables", recording)
-    assert len(find_commuting_pairs(u)) == {12: 97, 14: 126}[n]
+    assert len(find_commuting_pairs(u)) == corpus.FACTS[label].commuting[0]
     (rows, zero), = calls
     masks = np.arange(2, (1 << n) - 1, 2)
     every = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.int8)
@@ -900,8 +874,7 @@ def test_scan_plans_are_read_only_and_change_nothing():
     # the per-order plans are built once and shared by every call: writing to
     # one raises, and the finders give the same output from a cold cache as
     # from a warm one
-    inputs = [fourier(6), petrescu(1.0), np.kron(fourier(2), fourier(4)),
-              brute.random_equivalence_move(fourier(9), np.random.default_rng(9))]
+    inputs = list(map(corpus.get, ["F6", "petrescu1", "F2xF4", "F9s"]))
 
     def run():
         return [(_rows(find_block_pairs(u)), _rows(find_commuting_pairs(u))) for u in inputs]
@@ -921,14 +894,13 @@ def test_scan_plans_are_read_only_and_change_nothing():
         assert all(plan(n) is plan(n) for plan in PLANS)
 
 
-@pytest.mark.parametrize("find, u", [
-    (find_commuting_pairs, np.kron(fourier(2), fourier(4))),
-    (find_block_pairs, petrescu(1.0)),
+@pytest.mark.parametrize("find, label", [
+    (find_commuting_pairs, "F2xF4"), (find_block_pairs, "petrescu1"),
 ], ids=["constr1", "constr2"])
-def test_finder_specs_are_constructor_specs(find, u):
+def test_finder_specs_are_constructor_specs(find, label):
     # the finders fill each spec's fields straight into its __dict__; each
     # must be the spec the class constructor builds from the same fields
-    specs = find(u)
+    specs = find(corpus.get(label))
     assert specs
     for spec in specs:
         cls = type(spec)
@@ -945,83 +917,22 @@ def test_finder_specs_are_constructor_specs(find, u):
             spec.residual = 0.0
 
 
-# The finders' output on a fixed corpus, frozen: per input the witness count
-# and a digest of the mask index lists in finder order, for the block finder
-# (None past BLOCK_CAP) and the commuting finder. Residual bits are left out,
-# as they depend on the BLAS build. A label ending in "s" is a scrambled copy,
-# seeded by its label, of the input it extends.
-FROZEN_BASES = {
-    **{f"F{n}": (lambda n=n: fourier(n)) for n in range(2, 11)},
-    "F2xF3": lambda: np.kron(fourier(2), fourier(3)),
-    "F2xF2xF2": lambda: np.kron(np.kron(fourier(2), fourier(2)), fourier(2)),
-    "F2xF4": lambda: np.kron(fourier(2), fourier(4)),
-    "F3xF3": lambda: np.kron(fourier(3), fourier(3)),
-    "petrescu1": lambda: petrescu(1.0),
-    "petrescu0.7i": lambda: petrescu(np.exp(0.7j)),
-    "petrescu2.5e-9i": lambda: petrescu(np.exp(2.5e-9j)),
-    "bjorck7": bjorck7,
-    "F12": lambda: fourier(12),
-    "F14": lambda: fourier(14),
-}
-EMPTY = (0, "4f53cda18c2baa0c")
-FROZEN = [
-    ("F2", EMPTY, EMPTY),
-    ("F2s", EMPTY, EMPTY),
-    ("F3", EMPTY, EMPTY),
-    ("F3s", EMPTY, EMPTY),
-    ("F4", (8, "dd2774401e158906"), (1, "d1d79c44c6969437")),
-    ("F4s", (8, "9daa28ebcbea49ba"), (1, "d4a3a40920ae8732")),
-    ("F5", EMPTY, EMPTY),
-    ("F5s", EMPTY, EMPTY),
-    ("F6", (168, "6192dc85df9cd2ac"), (6, "71eed18bfcb8067b")),
-    ("F6s", (168, "b4ad774782d66d4f"), (6, "a35883fd0fe5df27")),
-    ("F7", EMPTY, EMPTY),
-    ("F7s", EMPTY, EMPTY),
-    ("F8", (1040, "9dcd9c3375a796ae"), (13, "1ff289f48f0c1ab2")),
-    ("F8s", (1040, "2086840f10b7ff14"), (13, "2d890ddea719c39d")),
-    ("F9", (1242, "6856cc0597182c30"), (9, "96ae762964189dc7")),
-    ("F9s", (1242, "384fff3cbde44ebb"), (9, "962469285c628e21")),
-    ("F10", (5880, "2b054f5e65882432"), (30, "7e12ab2dc0494ee6")),
-    ("F10s", (5880, "b699f1b2480c9a76"), (30, "732ef869e66516af")),
-    ("F2xF3", (168, "c091eb0ec0f131eb"), (6, "84018cd4e5d585e8")),
-    ("F2xF3s", (168, "bc02ce9a9a9b83b4"), (6, "42d55a5fceaeee56")),
-    ("F2xF2xF2", (6832, "baa1d0b9aa696253"), (77, "93818e387f027adb")),
-    ("F2xF2xF2s", (6832, "4b163213fada4157"), (77, "84524b4b0c882a85")),
-    ("F2xF4", (3056, "f997b554376a3104"), (37, "0c078e0d0c411e60")),
-    ("F2xF4s", (3056, "2653feddccb554ea"), (37, "7845003448cabab2")),
-    ("F3xF3", (4968, "72d936a16e6ff311"), (36, "bf724bd7491b098b")),
-    ("F3xF3s", (4968, "9115bb1191d3b355"), (36, "182071a20c53d4c3")),
-    ("petrescu1", (9, "c231cc4c806f17e4"), EMPTY),
-    ("petrescu1s", (9, "b0202fb4b5096f71"), EMPTY),
-    ("petrescu0.7i", (3, "73fb52feb2624fa2"), EMPTY),
-    ("petrescu0.7is", (3, "f73d6cb3f263fe5e"), EMPTY),
-    ("petrescu2.5e-9i", (3, "73fb52feb2624fa2"), EMPTY),
-    ("petrescu2.5e-9is", (3, "a1d948bbce52391f"), EMPTY),
-    ("bjorck7", EMPTY, EMPTY),
-    ("bjorck7s", EMPTY, EMPTY),
-    ("F12", None, (97, "c84c6a8bf9531627")),
-    ("F12s", None, (97, "fe0caeebe84869a7")),
-    ("F14", None, (126, "1baab89fdbb87c25")),
-    ("F14s", None, (126, "caf18813d0d8d3cb")),
-]
-
-
-def _frozen_input(label):
-    if label in FROZEN_BASES:
-        return FROZEN_BASES[label]()
-    rng = np.random.default_rng(zlib.crc32(label.encode()))
-    return brute.random_equivalence_move(FROZEN_BASES[label[:-1]](), rng)
-
-
 def _count_and_digest(specs):
     masks = [tuple(mask_indices(getattr(s, f)) for f in s.__dataclass_fields__
                    if f.endswith("mask")) for s in specs]
     return len(masks), hashlib.sha256(repr(masks).encode()).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("label, block, commuting", FROZEN, ids=[x[0] for x in FROZEN])
-def test_finder_output_is_frozen(label, block, commuting):
-    u = _frozen_input(label)
+@pytest.mark.parametrize("label", corpus.FACTS)
+def test_finder_output_is_frozen(label):
+    # each row of the corpus table: the certified span rank, and the count and
+    # digest of each finder's output, or no output past the finder's cap
+    u = corpus.get(label)
+    rank, block, commuting = corpus.FACTS[label]
+    cert = certify_isolation(u)
+    assert cert.rank == rank and cert.gap >= DEFAULT_POLICY.cert_gap_min
+    assert (block is None, commuting is None) == (len(u) > BLOCK_CAP, len(u) > COMMUTING_CAP)
     if block is not None:
         assert _count_and_digest(find_block_pairs(u)) == block
-    assert _count_and_digest(find_commuting_pairs(u)) == commuting
+    if commuting is not None:
+        assert _count_and_digest(find_commuting_pairs(u)) == commuting

@@ -37,6 +37,19 @@ class TestFourier:
         want = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
         assert np.max(np.abs(fourier(2) - want)) < 1e-15
 
+    def test_fourier2_unitary(self):
+        f2 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+        assert np.max(np.abs(fourier(2) @ fourier(2).conj().T - np.eye(2))) < 1e-14
+        assert np.max(np.abs(fourier(2) - f2)) < 1e-15
+
+    def test_fourier3_entries(self):
+        # conjugate of the construction formula, entry by entry
+        eps = np.exp(2j * np.pi / 3)
+        a = fourier(3).conj().T
+        for i in range(3):
+            for j in range(3):
+                assert abs(a[i, j] - np.conj(eps ** (i * j)) / np.sqrt(3)) < 1e-15
+
     def test_biunitary_through_32(self):
         for n in range(1, 33):
             assert verify_biunitary(fourier(n)).is_biunitary, n
@@ -78,11 +91,11 @@ class TestVerifyBiunitary:
     def test_invariant_under_moves(self, rng):
         u = fourier(6)
         for _ in range(5):
-            v = brute.random_equivalence_move(u, rng)
+            v = brute.random_equivalence_move(u, rng)[0]
             assert verify_biunitary(v).is_biunitary
         w = np.eye(6)
         for _ in range(3):
-            v = brute.random_equivalence_move(w, rng)
+            v = brute.random_equivalence_move(w, rng)[0]
             assert not verify_biunitary(v).is_biunitary
 
     @pytest.mark.parametrize("scale", [1e308, 1e200])
@@ -317,13 +330,13 @@ class TestDephase:
         assert np.max(np.abs(dephase(u) - fourier(3))) < 1e-14
 
     def test_idempotent(self, rng):
-        u = brute.random_equivalence_move(fourier(5), rng)
+        u = brute.random_equivalence_move(fourier(5), rng)[0]
         once = dephase(u)
         assert np.max(np.abs(dephase(once) - once)) < 1e-14
 
     def test_first_line_flat_and_moduli_kept(self, rng):
         for n in (4, 6, 7):
-            u = brute.random_equivalence_move(fourier(n), rng)
+            u = brute.random_equivalence_move(fourier(n), rng)[0]
             v = dephase(u)
             assert np.max(np.abs(v[0, :] - 1 / np.sqrt(n))) < 1e-13
             assert np.max(np.abs(v[:, 0] - 1 / np.sqrt(n))) < 1e-13
@@ -342,11 +355,11 @@ class TestEquivalent:
     def test_recovers_random_moves(self, rng):
         u = fourier(7)
         for _ in range(3):
-            assert equivalent(u, brute.random_equivalence_move(u, rng))
+            assert equivalent(u, brute.random_equivalence_move(u, rng)[0])
 
     def test_symmetric_on_samples(self, rng):
         u = fourier(5)
-        v = brute.random_equivalence_move(u, rng)
+        v = brute.random_equivalence_move(u, rng)[0]
         assert equivalent(u, v) and equivalent(v, u)
         x = fourier(5) * np.exp(0.2j)
         assert equivalent(u, x) and equivalent(x, u)
@@ -358,14 +371,14 @@ class TestEquivalent:
 
     def test_agrees_with_brute_oracle(self, rng):
         cases = [
-            (fourier(5), brute.random_equivalence_move(fourier(5), rng)),
+            (fourier(5), brute.random_equivalence_move(fourier(5), rng)[0]),
             (fourier(3), np.conj(fourier(3))),
             (fourier(4), np.kron(fourier(2), fourier(2))),
-            (fourier(4), brute.random_equivalence_move(np.kron(fourier(2), fourier(2)), rng)),
+            (fourier(4), brute.random_equivalence_move(np.kron(fourier(2), fourier(2)), rng)[0]),
             (f4(0.3), f4(0.3).T),
             (f4(0.3), np.conj(f4(0.3))),
-            (f4(0.3), brute.random_equivalence_move(f4(0.3).T, rng)),
-            (f4(0.3), brute.random_equivalence_move(f4(0.3), rng)),
+            (f4(0.3), brute.random_equivalence_move(f4(0.3).T, rng)[0]),
+            (f4(0.3), brute.random_equivalence_move(f4(0.3), rng)[0]),
             (f4(0.3), f4(-0.3)),
             (f4(0.3), f4(1.1)),
             # passes the quadruple-product filter, so the search decides it
@@ -379,7 +392,7 @@ class TestEquivalent:
         # of 1e-7, where copies equal to 1e-16 round apart
         u = petrescu(np.exp(1.094396372590179j))
         for _ in range(20):
-            assert equivalent(u, brute.random_equivalence_move(u, rng))
+            assert equivalent(u, brute.random_equivalence_move(u, rng)[0])
 
     def test_petrescu_family_members_inequivalent(self):
         assert not equivalent(petrescu(1.0), petrescu(np.exp(0.5j)))

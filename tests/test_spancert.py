@@ -1,11 +1,13 @@
 import ctypes
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
 
 import brute
+import corpus
 import memchild
 from hadcert import (
     DEFAULT_POLICY,
@@ -23,16 +25,6 @@ from hadcert import (
 )
 from hadcert import cmatrix, spancert
 from hadcert.spancert import _real_span_matrix
-
-# Span ranks of the order-n Fourier matrix, frozen from the gcd-sum kernel
-# count (see brute.gcd_sum_rank) and confirmed in exact integer arithmetic
-# (brute.exact_fourier_span_rank) for n = 2, 3, 4, 5, 6 and 8 below.
-FOURIER_RANKS = {2: 1, 3: 4, 4: 8, 5: 16, 6: 21, 7: 36, 8: 44, 9: 60,
-                 10: 73, 11: 100, 12: 104, 13: 144, 14: 157, 15: 180,
-                 16: 208, 17: 256, 18: 261, 19: 324, 20: 328, 21: 376,
-                 22: 421, 23: 484, 24: 476, 25: 560, 26: 601, 27: 648,
-                 28: 680, 29: 784, 30: 765, 31: 900, 32: 912}
-PETRESCU_RANK = 33
 
 
 class TestSpanMatrix:
@@ -84,21 +76,12 @@ class TestRealForm:
     """certify_isolation takes the rank from a real matrix R = A W, W unitary;
     its spectrum must be that of the complex span matrix A."""
 
-    @staticmethod
-    def inputs():
-        rng = np.random.default_rng(11)
-        yield "F1", fourier(1)
-        for n in (2, 7, 16, 24):
-            yield f"F{n}", fourier(n)
-        yield "bjorck7", bjorck7()
-        yield "petrescu(1)", petrescu(1.0)
-        yield "petrescu(generic)", petrescu(np.exp(0.7j))
-        yield "F2xF4", np.kron(fourier(2), fourier(4))
-        for n in range(5, 10):
-            yield f"random{n}", brute.random_biunitary(n, rng)
+    LABELS = ["F1", "F2", "F7", "F16", "F24", "bjorck7", "petrescu1", "petrescu0.7i", "F2xF4",
+              *(f"random{n}" for n in range(5, 10))]
 
     def test_spectrum_matches_complex_svd(self):
-        for label, u in self.inputs():
+        for label in self.LABELS:
+            u = corpus.get(label)
             a = span_matrix(u)
             want = np.linalg.svd(a, compute_uv=False)
             cert = certify_isolation(u)
@@ -140,26 +123,15 @@ class TestInPlaceSVD:
     """certify_isolation runs dgesdd on R itself rather than on numpy's copy
     of it; the singular values must be numpy's to the byte."""
 
-    @staticmethod
-    def corpus():
-        rng = np.random.default_rng(31)
-        for n in range(2, 25):
-            yield f"F{n}", fourier(n)
-            if n <= 16:
-                yield f"F{n} scrambled", brute.random_equivalence_move(fourier(n), rng)
-        yield "bjorck7", bjorck7()
-        yield "petrescu(1)", petrescu(1.0)
-        yield "petrescu(e^0.3i)", petrescu(np.exp(0.3j))
-        yield "F2xF4", np.kron(fourier(2), fourier(4))
-        yield "F3xF3", np.kron(fourier(3), fourier(3))
-        yield "F32", fourier(32)
+    LABELS = [*(f"F{n}" for n in range(2, 25)), *(f"F{n}s" for n in range(2, 17)),
+              "bjorck7", "petrescu1", "petrescu0.3i", "F2xF4", "F3xF3", "F32"]
 
     def test_binding_active_when_exported(self):
         assert (cmatrix._DGESDD is not None) == _numpy_exports_dgesdd()
 
     def test_singular_values_are_numpys_bytes(self):
-        for label, u in self.corpus():
-            r = _real_span_matrix(u)
+        for label in self.LABELS:
+            r = _real_span_matrix(corpus.get(label))
             assert r.flags.f_contiguous, label
             want = np.linalg.svd(r, compute_uv=False)
             assert cmatrix._singular_values_inplace(r).tobytes() == want.tobytes(), label
@@ -175,8 +147,7 @@ class TestInPlaceSVD:
         assert certify_isolation(fourier(7)).rank == 36
 
     def test_fallback_gives_the_same_certificate(self, monkeypatch):
-        inputs = [fourier(2), fourier(7), fourier(12), bjorck7(), petrescu(1.0),
-                  np.kron(fourier(3), fourier(3))]
+        inputs = list(map(corpus.get, ["F2", "F7", "F12", "bjorck7", "petrescu1", "F3xF3"]))
         want = [certify_isolation(u) for u in inputs]
         monkeypatch.setattr(cmatrix, "_DGESDD", None)
         for u, c in zip(inputs, want):
@@ -265,20 +236,23 @@ class TestCertify:
 
     def test_fourier4_span_fails(self):
         cert = certify_isolation(fourier(4))
-        assert cert.rank == FOURIER_RANKS[4]
+        assert cert.rank == corpus.FACTS["F4"].rank
         assert cert.rank < cert.expected
         assert cert.verdict == SPAN_FAILS
 
     def test_petrescu_span_fails(self):
         cert = certify_isolation(petrescu(1.0))
         assert cert.verdict == SPAN_FAILS
-        assert cert.rank == PETRESCU_RANK
+        assert cert.rank == corpus.FACTS["petrescu1"].rank
 
     def test_frozen_ranks(self):
-        for n, rank in FOURIER_RANKS.items():
-            cert = certify_isolation(fourier(n))
-            assert cert.rank == rank == brute.gcd_sum_rank(n), n
-            assert cert.gap >= DEFAULT_POLICY.cert_gap_min, n
+        # the corpus ranks of F_n and its scrambles, which
+        # test_finder_output_is_frozen certifies, are the gcd-sum kernel count's
+        rows = [(int(m[1]), f.rank) for label, f in corpus.FACTS.items()
+                if (m := re.fullmatch(r"F(\d+)s?", label))]
+        assert len(rows) == 31 + 13
+        for n, rank in rows:
+            assert rank == brute.gcd_sum_rank(n), n
 
     @pytest.mark.parametrize("n, rank", [(42, 1569), (47, 2116), (48, 2064)])
     def test_frozen_ranks_large(self, n, rank):
@@ -316,7 +290,7 @@ class TestCertify:
         u = fourier(7)
         r0 = certify_isolation(u).rank
         for _ in range(5):
-            v = brute.random_equivalence_move(u, rng)
+            v = brute.random_equivalence_move(u, rng)[0]
             assert certify_isolation(v).rank == r0
 
     def test_json_key_order(self):
@@ -335,7 +309,7 @@ class TestKernelDimension:
             assert p * p - certify_isolation(fourier(p)).rank == 2 * p - 1
 
     def test_composite(self):
-        assert 16 - certify_isolation(fourier(4)).rank == 16 - FOURIER_RANKS[4]
+        assert 16 - certify_isolation(fourier(4)).rank == 16 - corpus.FACTS["F4"].rank
 
     def test_order_one(self):
         assert 1 - certify_isolation(fourier(1)).rank == 1
@@ -348,5 +322,5 @@ class TestExactRankOracle:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
     def test_fourier_exact(self, n):
         rank = brute.exact_fourier_span_rank(n)
-        assert rank == FOURIER_RANKS[n] == brute.gcd_sum_rank(n)
+        assert rank == corpus.FACTS[f"F{n}"].rank == brute.gcd_sum_rank(n)
         assert certify_isolation(fourier(n)).rank == rank

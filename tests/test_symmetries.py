@@ -8,40 +8,27 @@ by P2 on the d side; the phases D1, D2 leave them and the rank unchanged.
 Sets of masks and ranks are compared, never float bits.
 """
 
-import numpy as np
 import pytest
 
-from hadcert import certify_isolation, find_block_pairs, find_commuting_pairs, fourier, petrescu
+import brute
+import corpus
+from hadcert import certify_isolation, find_block_pairs, find_commuting_pairs
 from hadcert.families import BLOCK_CAP
-
-BASES = {
-    "F6": lambda: fourier(6),
-    "F8": lambda: fourier(8),
-    "F2xF4": lambda: np.kron(fourier(2), fourier(4)),
-    "F3xF3": lambda: np.kron(fourier(3), fourier(3)),
-    "petrescu1": lambda: petrescu(1.0),
-    "petrescu0.9i": lambda: petrescu(np.exp(0.9j)),
-    "F12": lambda: fourier(12),
-}
-
-
-def _bits(mask):
-    """The integer whose bit k is entry k of a 0/1 mask."""
-    return sum(int(b) << k for k, b in enumerate(mask))
 
 
 def _commuting(u):
-    return {(_bits(s.p_mask), _bits(s.d_mask)) for s in find_commuting_pairs(u)}
+    return {(brute.mask_int(s.p_mask), brute.mask_int(s.d_mask)) for s in find_commuting_pairs(u)}
 
 
 def _block(u):
-    return {(_bits(s.p1_mask), _bits(s.p2_mask), _bits(s.d1_mask), _bits(s.d2_mask))
+    return {tuple(brute.mask_int(m) for m in (s.p1_mask, s.p2_mask, s.d1_mask, s.d2_mask))
             for s in find_block_pairs(u)}
 
 
-@pytest.mark.parametrize("label", BASES)
+@pytest.mark.parametrize("label", ["F6", "F8", "F2xF4", "F3xF3", "petrescu1", "petrescu0.9i",
+                                   "F12"])
 def test_adjoint_trades_the_sides(label):
-    u = BASES[label]()
+    u = corpus.get(label)
     n = len(u)
     adjoint = u.conj().T
     pairs = _commuting(u)
@@ -58,16 +45,6 @@ def test_adjoint_trades_the_sides(label):
         assert [certify_isolation(v).rank for v in (adjoint, u.T, u.conj())] == [rank] * 3
 
 
-def _move(u, rng):
-    """D1 P1 u P2 D2 with seeded unimodular diagonals and permutations, and
-    the permutations as index arrays: entry (a, b) is u[rows[a], cols[b]]
-    times a phase."""
-    n = len(u)
-    d1, d2 = np.exp(2j * np.pi * rng.random((2, n)))
-    rows, cols = rng.permutation(n), rng.permutation(n)
-    return d1[:, None] * u[rows][:, cols] * d2[None, :], rows, cols
-
-
 def _permuted(mask, perm):
     """The mask whose bit k is bit perm[k] of mask."""
     return sum(((mask >> int(j)) & 1) << k for k, j in enumerate(perm))
@@ -80,7 +57,7 @@ def test_equivalence_moves_permute_the_witnesses(label, rng):
     # then put back in the finders' canonical form: a commuting mask with
     # bit 0 set is replaced by its complement, and a quadruple takes the
     # 1 <-> 2 swap that puts the smaller p mask first
-    u = BASES[label]()
+    u = corpus.get(label)
     n = len(u)
     full = (1 << n) - 1
     pairs = _commuting(u)
@@ -88,7 +65,7 @@ def test_equivalence_moves_permute_the_witnesses(label, rng):
     assert pairs or quads
     rank = certify_isolation(u).rank if n <= 9 else None
     for _ in range(2):
-        v, rows, cols = _move(u, rng)
+        v, rows, cols = brute.random_equivalence_move(u, rng)
         moved = {(_permuted(p, rows), _permuted(d, cols)) for p, d in pairs}
         assert _commuting(v) == {(p ^ full * (p & 1), d ^ full * (d & 1)) for p, d in moved}
         if n <= BLOCK_CAP:
