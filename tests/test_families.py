@@ -228,6 +228,12 @@ class TestFindBlockPairs:
                    for s in find_block_pairs(u)]
             assert sorted(got) == brute.brute_block_pairs(u)
 
+    @pytest.mark.parametrize("label", ["F8", "F9", "F2xF4", "F3xF3", "petrescu1", "F10"])
+    def test_counts(self, label):
+        # the count alone, so a miscount reads apart from a reordering that
+        # only moves the digest test_finder_output_is_frozen also checks
+        assert len(find_block_pairs(corpus.get(label))) == corpus.FACTS[label].block[0]
+
     @pytest.mark.parametrize("label", ["F8", "F9s", "F2xF4", "petrescu1", "petrescu0.9i"],
                              ids=["F8", "F9scrambled", "F2xF4", "petrescu1", "petrescu0.9i"])
     def test_residual_is_the_public_one(self, label):
